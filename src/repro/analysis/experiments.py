@@ -249,11 +249,11 @@ def _table1_row(spec: ExperimentSpec) -> ExperimentRow:
     warm cache regenerates Table I without building a single task graph; the
     reference path builds the graph and counts it, as before.
     """
-    bench = benchmark_instance(spec.benchmark, spec.scale)
     if spec.fast:
-        info = bench.info(n_tasks=compiled_sim_cache(spec.benchmark, spec.scale).n)
+        n_tasks = compiled_sim_cache(spec.benchmark, spec.scale).n
     else:
-        info = bench.info()
+        n_tasks = len(benchmark_graph(spec.benchmark, spec.scale))
+    info = benchmark_instance(spec.benchmark, spec.scale).info(n_tasks=n_tasks)
     return {
         "benchmark": info.name,
         "description": info.description,
@@ -466,7 +466,7 @@ def _fig4_row(spec: ExperimentSpec) -> ExperimentRow:
             SimulationConfig(replicate_all=True, collect_records=False),
         )
     else:
-        graph = bench.build_graph()
+        graph = benchmark_graph(spec.benchmark, spec.scale)
         baseline = simulate(graph, machine, SimulationConfig(), fast=False)
         replicated = simulate(
             graph, machine, SimulationConfig(replicate_all=True), fast=False

@@ -39,6 +39,7 @@ Key properties:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import time
@@ -231,6 +232,7 @@ def make_spec(
 # ---------------------------------------------------------------------------------
 
 _BENCH_CACHE: Dict[Tuple[str, float, Optional[int]], Benchmark] = {}
+_GRAPHS: Dict[Tuple[str, float, Optional[int]], TaskGraph] = {}
 _SIM_CACHES: Dict[int, SimGraphCache] = {}
 _COMPILED_CACHE: Dict[Tuple[str, float, Optional[int]], SimGraphCache] = {}
 
@@ -242,7 +244,9 @@ def benchmark_instance(
 
     ``n_nodes`` selects the Figure 6 distributed variants; ``None`` is the
     registry configuration.  The memo is per process: pool workers build each
-    graph at most once regardless of how many cells they execute.
+    graph at most once regardless of how many cells they execute.  Callers
+    that need the graph go through :func:`benchmark_graph`, which keeps it
+    out of the cyclic GC.
     """
     key = (name, scale, n_nodes)
     bench = _BENCH_CACHE.get(key)
@@ -259,8 +263,40 @@ def benchmark_instance(
 
 
 def benchmark_graph(name: str, scale: float, n_nodes: Optional[int] = None) -> TaskGraph:
-    """The memoised task graph of a benchmark configuration."""
-    return benchmark_instance(name, scale, n_nodes).build_graph()
+    """The memoised task graph of a benchmark configuration.
+
+    A memoised graph lives as long as the process, so its first request
+    builds it with the cyclic GC paused and then freezes it
+    (:func:`_build_frozen`); memo hits return it untouched.
+    """
+    key = (name, scale, n_nodes)
+    graph = _GRAPHS.get(key)
+    if graph is None:
+        graph = _GRAPHS[key] = _build_frozen(benchmark_instance(name, scale, n_nodes))
+    return graph
+
+
+def _build_frozen(bench: Benchmark) -> TaskGraph:
+    """Build ``bench``'s graph with the cyclic GC paused, then freeze it.
+
+    A graph holds ~9 GC-tracked objects per task and none of them is ever
+    garbage while the memo holds it, yet every full collection — during the
+    build, during later allocation churn, and at interpreter shutdown —
+    would traverse them all.  ``gc.freeze()`` moves every live object to
+    the permanent generation, so the ``gc.collect()`` first keeps it from
+    pinning garbage; :func:`clear_caches` unfreezes.  The caller's GC state
+    is restored even when the build raises.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = bench.build_graph()
+    finally:
+        if was_enabled:
+            gc.enable()
+    gc.freeze()
+    return graph
 
 
 def sim_cache(graph: TaskGraph) -> SimGraphCache:
@@ -291,8 +327,11 @@ def compiled_sim_cache(
     if graph_cache_enabled():
         tracer = active_tracer()
         store = CompiledGraphStore(graph_cache_root())
+        # Direct generation saves under the canonical spelling, so every
+        # lookup of a directly generated workload uses it too.
+        store_name = direct_spec.canonical if direct_spec is not None else name
         with trace_span(tracer, "graph.load", benchmark=name, scale=scale) as span:
-            compiled = store.load(name, scale, n_nodes)
+            compiled = store.load(store_name, scale, n_nodes)
             span.set(hit=compiled is not None)
         if compiled is None:
             if direct_spec is not None:
@@ -302,7 +341,7 @@ def compiled_sim_cache(
                     t0 = time.perf_counter()
                     generated = generate_compiled(direct_spec, scale)
                     store.save(
-                        direct_spec.canonical,
+                        store_name,
                         scale,
                         generated,
                         n_nodes,
@@ -312,7 +351,7 @@ def compiled_sim_cache(
                 # Reload memory-mapped: the freshly written arrays are then
                 # backed by the store file, not by anonymous process memory —
                 # the property the out-of-core replay relies on.
-                compiled = store.load(name, scale, n_nodes)
+                compiled = store.load(store_name, scale, n_nodes)
             if compiled is None:
                 with trace_span(tracer, "graph.compile", benchmark=name, scale=scale):
                     t0 = time.perf_counter()
@@ -367,10 +406,16 @@ def _pool_worker_init(graph_enabled: bool, graph_root: str) -> None:
 
 
 def clear_caches() -> None:
-    """Drop all memoised benchmarks and simulation caches (mainly for tests)."""
+    """Drop all memoised benchmarks and simulation caches (mainly for tests).
+
+    Unfreezes the GC's permanent generation too, so the dropped graphs
+    (frozen by :func:`benchmark_graph`) become collectable again.
+    """
     _BENCH_CACHE.clear()
+    _GRAPHS.clear()
     _SIM_CACHES.clear()
     _COMPILED_CACHE.clear()
+    gc.unfreeze()
 
 
 # ---------------------------------------------------------------------------------
@@ -406,16 +451,25 @@ def run_cell(spec: ExperimentSpec) -> Any:
     return func(spec)
 
 
-def _run_cell_timed(spec: ExperimentSpec) -> Tuple[Any, float]:
-    """Run one cell and measure its wall time in-process (pool map target).
+def _run_cell_timed(
+    spec: ExperimentSpec, key: Optional[str], trace_root: Optional[str]
+) -> Tuple[Any, float]:
+    """Run one cell and measure its wall time where it runs.
 
-    Pool workers execute this instead of bare :func:`run_cell` so per-cell
-    elapsed time is measured where the cell actually runs — the parent can't
-    observe it (cells overlap across workers).  The compute span is opened
-    here for the same reason: the worker process owns the cell's timeline.
+    Both engine paths execute this — the serial loop inline, the pool as its
+    map target — so the ``cell.compute`` span has one shape in every mode.
+    ``key`` is the cell's result-store key (``None`` when untraced or
+    storeless), which joins the span to the store record; ``trace_root`` is
+    the store root the engine's own spans log under.  Elapsed time is
+    measured in-process because the parent can't observe it (cells overlap
+    across workers).
     """
     with trace_span(
-        active_tracer(), "cell.compute", cell_kind=spec.kind, benchmark=spec.benchmark
+        active_tracer(trace_root),
+        "cell.compute",
+        key,
+        cell_kind=spec.kind,
+        benchmark=spec.benchmark,
     ):
         t0 = time.perf_counter()
         payload = run_cell(spec)
@@ -506,25 +560,16 @@ class ExperimentEngine:
                     missing.append(i)
 
             # Compute the misses (serially or over the pool) and persist them.
+            # Span keys join traced cells to their store records.
+            store = self.store
+            trace_root = store.root if store is not None else None
+            keyed = tracer is not None and store is not None
+            keys = [store.key(specs[i]) if keyed else None for i in missing]
             workers = min(self.parallelism, len(missing))
             if workers <= 1:
-                for i in missing:
-                    key = (
-                        self.store.key(specs[i])
-                        if tracer is not None and self.store is not None
-                        else None
-                    )
-                    with trace_span(
-                        tracer,
-                        "cell.compute",
-                        key,
-                        cell_kind=specs[i].kind,
-                        benchmark=specs[i].benchmark,
-                    ):
-                        t0 = time.perf_counter()
-                        payloads[i] = run_cell(specs[i])
-                        elapsed = time.perf_counter() - t0
-                    self._record(specs[i], payloads[i], i, total, elapsed)
+                for i, key in zip(missing, keys):
+                    payloads[i], elapsed = _run_cell_timed(specs[i], key, trace_root)
+                    self._record(specs[i], payloads[i], i, total, elapsed, key)
             else:
                 # Imported here, not at module top: single-worker runs (most CLI
                 # invocations after the engine decides serially) never pay the
@@ -536,15 +581,15 @@ class ExperimentEngine:
                     initializer=_pool_worker_init,
                     initargs=(graph_cache_enabled(), graph_cache_root()),
                 ) as pool:
-                    # Per-cell wall time is measured inside each worker (the
-                    # parent can't observe it — cells overlap across workers),
-                    # so records carry the true in-process compute cost.
-                    for i, (payload, elapsed) in zip(
-                        missing,
-                        pool.map(_run_cell_timed, [specs[i] for i in missing]),
-                    ):
+                    results = pool.map(
+                        _run_cell_timed,
+                        [specs[i] for i in missing],
+                        keys,
+                        [trace_root] * len(missing),
+                    )
+                    for i, key, (payload, elapsed) in zip(missing, keys, results):
                         payloads[i] = payload
-                        self._record(specs[i], payload, i, total, elapsed)
+                        self._record(specs[i], payload, i, total, elapsed, key)
 
             map_span.set(computed=len(missing), cached=total - len(missing))
 
@@ -558,10 +603,13 @@ class ExperimentEngine:
         index: int,
         total: int,
         elapsed: Optional[float],
+        key: Optional[str],
     ) -> None:
-        """Persist one computed cell and fire the progress callback."""
+        """Persist one computed cell and fire the progress callback.
+
+        ``key`` is the span key :meth:`map` computed for the cell.
+        """
         if self.store is not None:
-            key = self.store.key(spec) if self._tracer is not None else None
             with trace_span(self._tracer, "cell.put", key, cell_kind=spec.kind):
                 self.store.put(spec, payload, elapsed_s=elapsed)
         self.cells_computed += 1

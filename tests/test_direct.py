@@ -254,6 +254,35 @@ class TestRunnerWiring:
         assert cache.n == 20
         assert isinstance(cache.compiled.durations, np.memmap)
 
+    def test_non_canonical_name_generates_once_under_the_canonical_key(
+        self, tmp_path, monkeypatch
+    ):
+        """A non-canonical spelling must load, save and reload one entry:
+        the reload used to miss and fall through to building the object graph
+        and saving a second entry under the raw spelling."""
+        monkeypatch.delenv("REPRO_DIRECT_GEN", raising=False)
+        import repro.analysis.runner as runner_mod
+
+        builds = []
+        real = runner_mod.benchmark_graph
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "benchmark_graph", counting)
+        configure_graph_cache(enabled=True, root=str(tmp_path))
+        name = "layered:depth=20,width=20,seed=0"
+        canonical = parse_workload(name).canonical
+        assert name != canonical
+
+        cache = compiled_sim_cache(name, 1.0)
+        assert cache.n == 400
+        assert isinstance(cache.compiled.durations, np.memmap)
+        assert builds == []
+        entries = CompiledGraphStore(str(tmp_path)).ls()
+        assert [e["benchmark"] for e in entries] == [canonical]
+
     def test_store_contents_identical_direct_vs_lowered(self, tmp_path, monkeypatch):
         name = parse_workload(self.SPEC).canonical
         payloads = {}
