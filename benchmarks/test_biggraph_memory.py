@@ -83,7 +83,6 @@ def test_biggraph_generate_and_simulate_bounded_rss(results_dir):
         + os.pathsep
         + env.get("PYTHONPATH", "")
     )
-    env.pop("REPRO_SIM_CHUNK_TASKS", None)  # default chunking is what we certify
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(depth), str(width)],
         capture_output=True,

@@ -13,17 +13,15 @@ machine model with
   re-executions),
 * an inter-node network for the distributed benchmarks.
 
-Two interchangeable executions of the same model exist:
+Three executions of the same model exist, all bit-identical:
 :func:`~repro.simulator.execution.simulate_graph` is the scalar reference
-loop, and :func:`~repro.simulator.fastpath.simulate_graph_fast` is the
-vectorized fast path (precomputed per-graph arrays, chunked fault draws) that
-produces bit-identical results; :func:`~repro.simulator.fastpath.simulate`
-dispatches between them.
-
-The fast path's event loop itself has interchangeable *backends* (pure
-Python, an optional numba JIT, a self-compiled C kernel — see
-:mod:`repro.simulator.backend`), all bit-identical, selected via
-``$REPRO_SIM_BACKEND``; and
+loop (the oracle, over a ``TaskGraph``), and the fast path
+(:func:`~repro.simulator.fastpath.simulate_compiled`, over precomputed
+compiled-graph arrays) runs one of two *backends* selected via
+``$REPRO_SIM_BACKEND`` (see :mod:`repro.simulator.backend`): a
+self-compiled C kernel, or a single pure-Python event loop that replays in
+bounded memory at any graph size.  :func:`~repro.simulator.fastpath.simulate`
+dispatches between the reference and the fast path, and
 :func:`~repro.simulator.fastpath.simulate_compiled_batch` replays a whole
 batch of fault seeds over shared replay arrays in one kernel invocation.
 """

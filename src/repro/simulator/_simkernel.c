@@ -1,17 +1,16 @@
 /* Event-loop replay kernel of the compiled-graph simulator.
  *
- * This is the C twin of the pure-Python loops in repro/simulator/fastpath.py
- * (and of the numba twin in repro/simulator/_kernel_py.py): one general
- * multi-node event loop that also covers the single-node case.  Every float
- * operation, comparison and event-ordering rule matches the Python reference
- * exactly:
+ * This is the C twin of the pure-Python loop in repro/simulator/fastpath.py
+ * (_simulate_python): one general multi-node event loop that also covers the
+ * single-node case.  Every float operation, comparison and event-ordering
+ * rule matches the Python loop and the reference simulate_graph exactly:
  *
  *  - events are ordered by (time, sequence number) — a total order, so any
  *    binary-heap layout pops the identical event sequence;
  *  - all per-task float terms arrive pre-folded (the replay arrays built by
- *    SimGraphCache.replay_arrays with the reference association order); the
- *    loop only selects, adds and compares IEEE doubles in the same order the
- *    Python loop does;
+ *    SimGraphCache.replay_arrays_np with the reference association order);
+ *    the loop only selects, adds and compares IEEE doubles in the same order
+ *    the Python loop does;
  *  - fault Bernoullis are consumed from a pre-drawn uniform block (the same
  *    chunked generator sequence the Python loop buffers), with the identical
  *    conditional draw-cursor discipline.
@@ -19,7 +18,8 @@
  * Compiled with -ffp-contract=off so no multiply-add contraction can change
  * results (the loop performs no multiplications, but the flag makes the
  * guarantee explicit).  Built lazily by repro.simulator.backend via the
- * system C compiler; the pure-Python path remains the reference.
+ * system C compiler; the Python loop is the fallback where no compiler is
+ * available.
  */
 
 #include <stdlib.h>

@@ -1,33 +1,25 @@
-"""Simulator loop backends: pure Python, optional numba JIT, self-built C kernel.
+"""Simulator loop backends: the pure-Python loop and a self-built C kernel.
 
-The compiled-graph replay loop in :mod:`repro.simulator.fastpath` is pure
-Python and stays the *reference* — every other backend must be bit-identical
-to it, which the equivalence suite asserts.  This module provides the faster
-executions of the same loop:
+Both execute the same compiled-graph replay loop and are bit-identical to the
+reference :func:`repro.simulator.execution.simulate_graph`, which the
+equivalence suite asserts for each of them directly:
 
 ``python``
-    The fastpath's own scalar loops.  Always available; the fallback.
+    :func:`repro.simulator.fastpath._simulate_python`, the one pure-Python
+    event loop.  Always available, in bounded memory at any graph size; the
+    fallback on hosts without a C compiler.
 ``cext``
     ``_simkernel.c`` compiled on first use with the system C compiler
     (``-O2 -ffp-contract=off``, no Python headers needed) and driven through
     :mod:`ctypes`.  The shared object is cached under
-    ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/kernels``) keyed by the
-    source hash, so later runs only ``dlopen`` it.
-``numba``
-    The nopython twin in :mod:`repro.simulator._kernel_py`, JIT-compiled when
-    numba is installed.  numba stays an optional dependency (``pip install
-    repro-appfit[numba]``); when it is absent this backend reports
-    unavailable and selection falls through.
-``pykernel``
-    The numba twin executed as plain Python.  Far slower than the fastpath —
-    it exists so the twin's semantics are pinned by tests even on machines
-    without numba.  Never chosen automatically.
+    ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/kernels``), named by a
+    hash of the source *and* the compile command, so later runs only
+    ``dlopen`` it and a changed compiler or flag set never reuses a stale
+    build.
 
-Selection: ``REPRO_SIM_BACKEND`` picks one of ``auto|python|numba|cext``
-(``pykernel`` is accepted for debugging).  ``auto`` — the default — prefers
-``cext`` and then ``numba``: importing numba costs over a second of startup,
-which would dwarf the loop savings in short CLI runs, while the cached C
-kernel loads in microseconds.  Forcing an unavailable backend raises with the
+Selection: ``REPRO_SIM_BACKEND`` picks one of ``auto|python|cext``.
+``auto`` — the default — uses ``cext`` when it builds and loads, and the
+python loop otherwise.  Forcing an unavailable backend raises with the
 recorded reason.
 """
 
@@ -35,12 +27,11 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib.util
 import os
 import shutil
 import subprocess
 import tempfile
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +45,12 @@ KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
 CC_ENV = "REPRO_CC"
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_simkernel.c")
+
+#: Compiler flags of the kernel build.  ``-ffp-contract=off`` forbids
+#: multiply-add contraction so the compiler cannot alter float results (the
+#: loop has no multiplies, but the flag makes the bit-identity guarantee
+#: explicit); ``-march`` is left at the default for the same reason.
+KERNEL_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Return codes of the kernels (matching ``_simkernel.c``).
 _ERRORS = {
@@ -134,58 +131,13 @@ class CExtBackend(KernelBackend):
         )
 
 
-class _PyKernelBackend(KernelBackend):
-    """The numba twin, lane-looped — plain Python (``pykernel``) by default."""
-
-    name = "pykernel"
-
-    def __init__(self) -> None:
-        from repro.simulator._kernel_py import kernel
-
-        self._kernel = kernel
-
-    def run_batch(self, n_lanes, meta, arrays, uniforms, n_uniforms, out_scalars, out_counts, record_arrays):
-        (n, n_nodes, cores, spares, net_lat, net_bw, contention, collect, p_crash, p_sdc, decision_s) = meta
-        start_at, finish_at, overhead_at, recovery_at = record_arrays
-        for lane in range(n_lanes):
-            rec = lane if collect else 0
-            rc = self._kernel(
-                n, n_nodes, cores, spares, net_lat, net_bw,
-                contention, collect, p_crash, p_sdc, decision_s,
-                *arrays,
-                uniforms[lane], n_uniforms,
-                out_scalars[lane], out_counts[lane],
-                start_at[rec], finish_at[rec], overhead_at[rec], recovery_at[rec],
-            )
-            if rc != 0:
-                return rc
-        return 0
-
-
-class NumbaBackend(_PyKernelBackend):
-    """The numba-JITed twin (optional dependency)."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if importlib.util.find_spec("numba") is None:
-            raise BackendUnavailable("numba is not installed (pip install repro-appfit[numba])")
-        import numba
-
-        from repro.simulator._kernel_py import kernel
-
-        # cache=True persists the machine code next to _kernel_py.py so the
-        # JIT cost is paid once per interpreter/ABI, not once per process.
-        self._kernel = numba.njit(cache=True, fastmath=False)(kernel)
-
-
 class PythonBackend(KernelBackend):
-    """Marker backend: the fastpath's scalar loops handle execution."""
+    """Marker backend: the fastpath's python loop handles execution."""
 
     name = "python"
 
     def run_batch(self, *args, **kwargs):  # pragma: no cover - never called
-        raise RuntimeError("the python backend has no kernel; fastpath runs the scalar loops")
+        raise RuntimeError("the python backend has no kernel; fastpath runs the python loop")
 
 
 # -- C kernel build ---------------------------------------------------------
@@ -210,32 +162,38 @@ def _find_cc() -> Optional[str]:
     return None
 
 
-def kernel_lib_path() -> str:
-    """Path of the compiled kernel for the current source (not necessarily built)."""
+def kernel_lib_path(cc: Optional[str] = None, flags: Sequence[str] = KERNEL_CFLAGS) -> str:
+    """Path of the compiled kernel for the current source and compile command.
+
+    The name hashes the source together with the compiler (``cc``, default
+    :func:`_find_cc`) and ``flags``, so a build made by another compiler or
+    with other flags is never reused.  The path may not be built yet.
+    """
+    if cc is None:
+        cc = _find_cc() or ""
+    digest = hashlib.sha256()
     with open(_KERNEL_SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-    return os.path.join(kernel_cache_dir(), f"simkernel-{digest}.so")
+        digest.update(fh.read())
+    digest.update("\0".join([cc, *flags]).encode())
+    return os.path.join(kernel_cache_dir(), f"simkernel-{digest.hexdigest()[:16]}.so")
 
 
 def build_kernel_lib(verbose: bool = False) -> str:
     """Compile ``_simkernel.c`` into the kernel cache; returns the .so path.
 
-    Idempotent: if the shared object for the current source hash exists it is
-    reused.  ``-ffp-contract=off`` forbids multiply-add contraction so the
-    compiler cannot alter float results (the loop has no multiplies, but the
-    flag makes the bit-identity guarantee explicit); ``-march`` is left at the
-    default for the same reason.
+    Idempotent: if the shared object for the current source and compile
+    command (:func:`kernel_lib_path`) exists it is reused.
     """
-    target = kernel_lib_path()
-    if os.path.exists(target):
-        return target
     cc = _find_cc()
     if cc is None:
         raise BackendUnavailable("no C compiler found (set REPRO_CC or install gcc/clang)")
+    target = kernel_lib_path(cc)
+    if os.path.exists(target):
+        return target
     os.makedirs(os.path.dirname(target), exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
     os.close(fd)
-    cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-o", tmp, _KERNEL_SOURCE]
+    cmd = [cc, *KERNEL_CFLAGS, "-o", tmp, _KERNEL_SOURCE]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -274,13 +232,7 @@ def _load_kernel_lib() -> ctypes.CDLL:
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
     "python": PythonBackend,
     "cext": CExtBackend,
-    "numba": NumbaBackend,
-    "pykernel": _PyKernelBackend,
 }
-
-#: Backends tried by ``auto``, in order.  cext first: a cached .so loads in
-#: microseconds while importing numba costs >1s of startup per process.
-_AUTO_ORDER = ("cext", "numba")
 
 _instances: Dict[str, KernelBackend] = {}
 _failures: Dict[str, str] = {}
@@ -307,19 +259,17 @@ def _get_backend(name: str) -> KernelBackend:
 def resolve_backend(name: Optional[str] = None) -> KernelBackend:
     """The backend to use: explicit ``name``, else ``$REPRO_SIM_BACKEND``, else auto.
 
-    ``auto`` falls back to the pure-Python loops when no compiled backend is
-    available; a *named* backend that is unavailable raises
+    ``auto`` falls back to the pure-Python loop when the C kernel is
+    unavailable; a *named* backend that is unavailable raises
     :class:`BackendUnavailable` with the reason.
     """
     name = name or os.environ.get(BACKEND_ENV) or "auto"
     name = name.strip().lower()
     if name == "auto":
-        for cand in _AUTO_ORDER:
-            try:
-                return _get_backend(cand)
-            except BackendUnavailable:
-                continue
-        return _get_backend("python")
+        try:
+            return _get_backend("cext")
+        except BackendUnavailable:
+            return _get_backend("python")
     return _get_backend(name)
 
 

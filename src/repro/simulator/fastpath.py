@@ -12,30 +12,40 @@ fault rate and machine size — so this module splits the work:
   the graph: durations, byte counts, CSR successor/predecessor indices and
   per-edge communication payloads;
 * :class:`SimGraphCache` wraps a compiled graph and memoises the
-  machine/cost-model-dependent *replay arrays* — the per-task core-occupancy,
-  completion, overhead and recovery terms, folded into flat lists with one
+  machine/cost-model-dependent *replay terms* — the per-task core-occupancy,
+  completion, overhead and recovery terms, folded into flat arrays with one
   NumPy pass per (cost model, bandwidth) combination;
-* :func:`simulate_compiled` replays those arrays through a flat ``heapq``
-  event loop over primitive floats and ints (with a specialised loop for
-  single-node machines, the Figure 4/5 shape), drawing fault Bernoullis from
-  a chunk-buffered NumPy stream that consumes the *same* underlying uniform
-  sequence as the reference path's per-call draws.
+* :func:`simulate_compiled` and :func:`simulate_compiled_batch` replay those
+  terms on one of two backends (see :mod:`repro.simulator.backend`): the C
+  kernel, or :func:`_simulate_python`, the one pure-Python event loop.
+
+The python loop is the general multi-node loop (at ``n_nodes == 1`` it pushes
+the same heap tuples, consumes the same draws and accumulates the same sums a
+single-node loop would).  It holds no O(n) Python objects: per-task state
+(pending counts, earliest starts, node map, replication flags) lives in flat
+typed arrays, and the replay terms and CSR successor rows are read through
+:class:`_ReplayChunks`, a small LRU of task chunks computed on demand off the
+(memory-mapped) compiled arrays — so it replays graphs far larger than RAM
+would allow as Python objects, with or without per-task records.
 
 Every arithmetic expression mirrors the reference loop operation for
-operation (the replay arrays are built with the same association order the
-scalar code uses), and events are pushed in the same order with the same FIFO
-tie-breaking, so the fast path is bit-identical to the reference — which the
-equivalence test suite asserts.  Use ``fast=False`` (or the benchmark
-harness's ``--reference`` flag) to fall back to the reference implementation.
+operation (the replay terms are built with the same association order the
+scalar code uses), events are pushed in the same order with the same FIFO
+tie-breaking, and fault Bernoullis come from a chunk-buffered NumPy stream that
+consumes the *same* uniform sequence as the reference path's per-call draws —
+so the fast path is bit-identical to the reference, which the equivalence test
+suite asserts.  Use ``fast=False`` (or the benchmark harness's
+``--reference`` flag) to fall back to the reference implementation.
 """
 
 from __future__ import annotations
 
-import os
+from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,50 +76,13 @@ _READY, _FREE, _SPARE_FREE, _COMPLETE = 0, 1, 2, 3
 #: golden artifacts pin the resulting draw sequence.)
 _DRAW_CHUNK = 4096
 
-#: Environment knob selecting the streaming chunk size of the pure-Python
-#: replay: graphs larger than this many tasks walk the event loop against
-#: chunked replay-term slices instead of materialising all ten O(n) term
-#: arrays (and their Python-list views) up front.  ``0`` disables streaming.
-SIM_CHUNK_ENV = "REPRO_SIM_CHUNK_TASKS"
-
-#: Default streaming chunk: small enough that a handful of resident chunks
-#: stay in the tens of megabytes, large enough that the frontier of any
-#: reasonable graph rarely straddles more than two or three chunks.
-DEFAULT_SIM_CHUNK_TASKS = 65536
-
-
-def sim_chunk_tasks() -> int:
-    """The streaming chunk size (``$REPRO_SIM_CHUNK_TASKS``; ``<= 0`` disables)."""
-    raw = os.environ.get(SIM_CHUNK_ENV, "").strip()
-    if not raw:
-        return DEFAULT_SIM_CHUNK_TASKS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SIM_CHUNK_ENV}={raw!r} is not an integer task count"
-        ) from None
-
-
-@dataclass
-class _ReplayArrays:
-    """Per-task cost terms of one (cost model, machine bandwidth) combination.
-
-    Each list is indexed by dense task index and holds exactly the floats the
-    reference loop would compute for that task, pre-folded with the reference
-    association order so the event loop only selects and accumulates.
-    """
-
-    dur: List[float]  #: effective duration (roofline-bounded if contended)
-    mem: List[float]  #: memory traffic charged to the node
-    core_busy0: List[float]  #: unreplicated, fault-free core occupancy
-    rep_core_busy: List[float]  #: replicated core occupancy (spare available)
-    completion_spare: List[float]  #: replicated completion (spare available)
-    core_busy_nospare: List[float]  #: replicated core occupancy (no spare)
-    completion_nospare: List[float]  #: replicated completion (no spare)
-    overhead_rep: List[float]  #: replicated fault-free overhead
-    restore_dur: List[float]  #: crash+crash recovery (restore + re-execute)
-    restore_dur_vote: List[float]  #: sdc-mismatch recovery (restore + re-execute + vote)
+#: Tasks per chunk of the python loop's replay-term accessor.  A resident
+#: chunk holds its terms and successor rows as Python floats and ints, about
+#: 0.6 KB per task on a layered graph with two edges per task, so the
+#: :attr:`_ReplayChunks.CAPACITY` resident chunks stay near 10 MB at any
+#: graph size (the 64 MiB simulation-delta cap of the 10^6-task memory
+#: benchmark is what bounds them).
+CHUNK_TASKS = 4096
 
 
 def _replay_terms(
@@ -128,12 +101,16 @@ def _replay_terms(
     bit-identical while moving ~15 float operations per task out of the event
     loop.  All operations are element-wise, so calling this on aligned array
     *slices* yields exactly the corresponding slice of the full-graph result —
-    the invariant the streaming replay's chunked view relies on.
+    the invariant the python loop's chunked accessor relies on.
 
-    The tuple order matches the ``_ReplayArrays`` fields and the kernel
-    argument order: dur, mem, core_busy0, rep_core_busy, completion_spare,
-    core_busy_nospare, completion_nospare, overhead_rep, restore_dur,
-    restore_dur_vote.
+    The tuple order is the kernel argument order: dur (effective duration,
+    roofline-bounded if contended), mem (memory traffic charged to the node),
+    core_busy0 (unreplicated, fault-free core occupancy), rep_core_busy and
+    completion_spare (replicated, spare available), core_busy_nospare and
+    completion_nospare (replicated, no spare), overhead_rep (replicated
+    fault-free overhead), restore_dur (crash+crash recovery: restore and
+    re-execute), restore_dur_vote (sdc-mismatch recovery: restore, re-execute
+    and vote).
     """
     checkpoint = costs.checkpoint_latency_s + input_bytes / costs.checkpoint_bandwidth_Bps
     restore = costs.restore_latency_s + input_bytes / costs.checkpoint_bandwidth_Bps
@@ -192,18 +169,7 @@ class SimGraphCache:
         self.mem_bytes = np.asarray(compiled.mem_bytes)
         self.input_bytes = np.asarray(compiled.input_bytes)
         self.output_bytes = np.asarray(compiled.output_bytes)
-        # The Python-list views of the compiled arrays (what the scalar loops
-        # index) are built lazily: the kernel backends run straight off the
-        # ndarrays, so list materialisation is paid only when the pure-Python
-        # loops (or the record assembly) actually need it.
-        self._task_ids: Optional[List[int]] = None
-        self._node_attr: Optional[List[int]] = None
-        self._in_degree: Optional[List[int]] = None
-        self._successors: Optional[List[List[int]]] = None
-        self._edge_bytes: Optional[List[List[float]]] = None
-        self._node_maps: Dict[int, List[int]] = {}
         self._node_maps_np: Dict[int, np.ndarray] = {}
-        self._replay: Dict[Tuple[ReplicationCostModel, bool, float], _ReplayArrays] = {}
         self._replay_np: Dict[
             Tuple[ReplicationCostModel, bool, float], Tuple[np.ndarray, ...]
         ] = {}
@@ -215,59 +181,8 @@ class SimGraphCache:
         """A cache over a compiled graph alone (e.g. mmap-loaded by a worker)."""
         return cls(compiled=compiled)
 
-    # -- lazy list views (indexed by the pure-Python loops) ------------------
-
-    @property
-    def task_ids(self) -> List[int]:
-        """Task ids in dense index order."""
-        if self._task_ids is None:
-            self._task_ids = self.compiled.task_ids.tolist()
-        return self._task_ids
-
-    @property
-    def node_attr(self) -> List[int]:
-        """Explicit node placements (-1 when the runtime is free to choose)."""
-        if self._node_attr is None:
-            self._node_attr = self.compiled.node_attr.tolist()
-        return self._node_attr
-
-    @property
-    def in_degree(self) -> List[int]:
-        """Predecessor counts in dense index order."""
-        if self._in_degree is None:
-            self._in_degree = self.compiled.in_degrees().tolist()
-        return self._in_degree
-
-    @property
-    def successors(self) -> List[List[int]]:
-        """Successors as dense indices, sorted like the reference loop iterates."""
-        if self._successors is None:
-            ptr = self.compiled.succ_indptr.tolist()
-            idx = self.compiled.succ_indices.tolist()
-            self._successors = [idx[ptr[i] : ptr[i + 1]] for i in range(self.n)]
-        return self._successors
-
-    @property
-    def edge_bytes(self) -> List[List[float]]:
-        """Per-edge communication payloads, aligned with :attr:`successors`."""
-        if self._edge_bytes is None:
-            ptr = self.compiled.succ_indptr.tolist()
-            ebs = self.compiled.edge_bytes.tolist()
-            self._edge_bytes = [ebs[ptr[i] : ptr[i + 1]] for i in range(self.n)]
-        return self._edge_bytes
-
-    # -- memoised derived quantities ----------------------------------------
-
-    def node_map(self, n_nodes: int) -> List[int]:
-        """Node of every task on an ``n_nodes`` machine (reference placement rule)."""
-        cached = self._node_maps.get(n_nodes)
-        if cached is None:
-            cached = self.node_map_np(n_nodes).tolist()
-            self._node_maps[n_nodes] = cached
-        return cached
-
     def node_map_np(self, n_nodes: int) -> np.ndarray:
-        """:meth:`node_map` as an int64 array (what the kernel backends index)."""
+        """Node of every task on an ``n_nodes`` machine (reference placement rule)."""
         cached = self._node_maps_np.get(n_nodes)
         if cached is None:
             if n_nodes == 1:
@@ -282,36 +197,10 @@ class SimGraphCache:
             self._node_maps_np[n_nodes] = cached
         return cached
 
-    def replay_arrays(
-        self, machine: MachineSpec, costs: ReplicationCostModel, contention: bool
-    ) -> _ReplayArrays:
-        """The per-task replay terms of one (costs, contention, bandwidth) key.
-
-        Every expression below reproduces the reference loop's scalar
-        arithmetic with the same association order, element-wise — which is
-        what keeps the replay bit-identical while moving ~15 float operations
-        per task out of the event loop.
-        """
-        key = (costs, bool(contention), machine.memory_bandwidth_Bps)
-        cached = self._replay.get(key)
-        if cached is None:
-            nd = self.replay_arrays_np(machine, costs, contention)
-            # The list views index the very same ndarrays the kernel backends
-            # run on, so the two execution paths cannot diverge numerically.
-            cached = _ReplayArrays(*(a.tolist() for a in nd))
-            self._replay[key] = cached
-        return cached
-
     def replay_arrays_np(
         self, machine: MachineSpec, costs: ReplicationCostModel, contention: bool
     ) -> Tuple[np.ndarray, ...]:
-        """:meth:`replay_arrays` as contiguous float64 ndarrays (kernel order).
-
-        The tuple order matches the ``_ReplayArrays`` fields and the kernel
-        argument order: dur, mem, core_busy0, rep_core_busy, completion_spare,
-        core_busy_nospare, completion_nospare, overhead_rep, restore_dur,
-        restore_dur_vote.
-        """
+        """The full-graph :func:`_replay_terms` of one (costs, contention, bandwidth) key."""
         key = (costs, bool(contention), machine.memory_bandwidth_Bps)
         cached = self._replay_np.get(key)
         if cached is None:
@@ -328,7 +217,7 @@ class SimGraphCache:
         return cached
 
     def static_np(self) -> Tuple[np.ndarray, ...]:
-        """Graph-structure arrays the kernels index: CSR successors + degrees.
+        """Graph-structure arrays the kernel indexes: CSR successors + degrees.
 
         Order matches the kernel argument order: succ_indptr, succ_indices,
         edge_bytes, in_degree.
@@ -346,10 +235,10 @@ class SimGraphCache:
         return cached
 
     def replicated_flags_np(self, config: SimulationConfig) -> np.ndarray:
-        """Per-task replication flags as a uint8 array (kernel form).
+        """Per-task replication flags as a uint8 array, in dense index order.
 
         ``np.isin`` over int64 task ids decides membership exactly like the
-        per-task ``tid in replicated_ids`` of :func:`_replicated_flags`.
+        reference's per-task ``tid in replicated_ids``.
         """
         key = (bool(config.replicate_all), config.replicated_ids)
         cached = self._flags_np.get(key)
@@ -365,16 +254,6 @@ class SimGraphCache:
                 cached = np.zeros(self.n, dtype=np.uint8)
             self._flags_np[key] = cached
         return cached
-
-
-def _replicated_flags(cache: SimGraphCache, config: SimulationConfig) -> List[bool]:
-    """Per-task replication flags under ``config``, in dense index order."""
-    if config.replicate_all:
-        return [True] * cache.n
-    if config.replicated_ids is not None:
-        replicated_ids = config.replicated_ids
-        return [tid in replicated_ids for tid in cache.task_ids]
-    return [False] * cache.n
 
 
 def simulate_compiled(
@@ -396,23 +275,9 @@ def simulate_compiled(
     with trace_span(
         active_tracer(), "sim.dispatch", backend=chosen.name, tasks=cache.n, lanes=1
     ):
-        if chosen.name != "python" and cache.n > 0 and machine.n_nodes >= 1:
+        if chosen.name != "python" and cache.n > 0:
             return _replay_kernel_batch(cache, machine, config, [config.seed], chosen, configs=[config])[0]
         return _simulate_python(cache, machine, config)
-
-
-def _simulate_python(
-    cache: SimGraphCache, machine: MachineSpec, config: SimulationConfig
-) -> SimulationResult:
-    """The pure-Python scalar replay (the reference the kernels must match)."""
-    chunk = sim_chunk_tasks()
-    if 0 < chunk < cache.n and not config.collect_records and machine.n_nodes >= 1:
-        return _replay_stream(cache, machine, config, chunk)
-    arrays = cache.replay_arrays(machine, config.costs, config.model_memory_contention)
-    is_replicated = _replicated_flags(cache, config)
-    if machine.n_nodes == 1:
-        return _replay_single_node(cache, machine, config, arrays, is_replicated)
-    return _replay_multi_node(cache, machine, config, arrays, is_replicated)
 
 
 def simulate_compiled_batch(
@@ -445,7 +310,7 @@ def simulate_compiled_batch(
         tasks=cache.n,
         lanes=len(seeds),
     ):
-        if chosen.name == "python" or cache.n == 0 or machine.n_nodes < 1:
+        if chosen.name == "python" or cache.n == 0:
             return [
                 _simulate_python(cache, machine, replace(config, seed=int(s))) for s in seeds
             ]
@@ -539,15 +404,9 @@ def _replay_kernel_batch(
             f"simulator backend {backend.name!r} failed: {_backends.kernel_error(rc)}"
         )
 
-    if collect:
-        node_of_list = cache.node_map(n_nodes)
-        is_replicated = _replicated_flags(cache, config)
-        dur_list = cache.replay_arrays(machine, config.costs, contention).dur
-    else:
-        node_of_list = []
-        is_replicated = []
-        dur_list = []
-
+    node_list = node_of.tolist() if collect else []
+    flag_list = flags.tolist() if collect else []
+    dur_list = replay[0].tolist() if collect else []
     results: List[SimulationResult] = []
     for j, seed in enumerate(seeds):
         if configs is not None:
@@ -555,7 +414,7 @@ def _replay_kernel_batch(
         else:
             lane_config = replace(config, seed=int(seed))
         if collect:
-            record_arrays: Optional[Tuple[List[float], ...]] = (
+            record_arrays: Optional[Tuple[Sequence[float], ...]] = (
                 start_at[j].tolist(),
                 finish_at[j].tolist(),
                 overhead_at[j].tolist(),
@@ -571,8 +430,8 @@ def _replay_kernel_batch(
                 cache,
                 machine,
                 lane_config,
-                node_of_list,
-                is_replicated,
+                node_list,
+                flag_list,
                 int(counts[3]),
                 float(scalars[0]),
                 float(scalars[4]),
@@ -594,15 +453,19 @@ def _finish(
     cache: SimGraphCache,
     machine: MachineSpec,
     config: SimulationConfig,
-    node_of: List[int],
-    is_replicated: List[bool],
+    node_of: Sequence[int],
+    is_replicated: Sequence[int],
     n_started: int,
     makespan: float,
     max_node_mem: float,
     totals: Tuple[float, float, float, int, int, int],
-    record_arrays: Optional[Tuple[List[float], ...]],
+    record_arrays: Optional[Tuple[Sequence[float], ...]],
 ) -> SimulationResult:
-    """Assemble the :class:`SimulationResult` shared by both replay loops."""
+    """Assemble the :class:`SimulationResult` shared by both backends.
+
+    ``record_arrays`` is ``(start, finish, overhead, recovery, base duration)``
+    per dense task index, or ``None`` when records are not collected.
+    """
     n = cache.n
     if n_started != n:
         raise RuntimeError(
@@ -612,17 +475,18 @@ def _finish(
     total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count = totals
     records: Dict[int, SimulatedTaskRecord] = {}
     if record_arrays is not None:
-        start_at, finish_at, overhead_at, recovery_at, duration_at = record_arrays
-        for i, tid in enumerate(cache.task_ids):
+        for tid, node, rep, start, finish, overhead, recovery, base in zip(
+            cache.compiled.task_ids.tolist(), node_of, is_replicated, *record_arrays
+        ):
             records[tid] = SimulatedTaskRecord(
                 task_id=tid,
-                node=node_of[i],
-                start_s=start_at[i],
-                finish_s=finish_at[i],
-                replicated=is_replicated[i],
-                base_duration_s=duration_at[i],
-                overhead_s=overhead_at[i],
-                recovery_s=recovery_at[i],
+                node=node,
+                start_s=start,
+                finish_s=finish,
+                replicated=bool(rep),
+                base_duration_s=base,
+                overhead_s=overhead,
+                recovery_s=recovery,
             )
     if config.model_memory_contention and machine.n_nodes > 0:
         bandwidth_bound = max_node_mem / machine.memory_bandwidth_Bps
@@ -641,35 +505,118 @@ def _finish(
     )
 
 
-def _replay_single_node(
+#: One chunk of :class:`_ReplayChunks`: ``(lo, hi, rows, ptr, succ, ebytes)``.
+_Chunk = Tuple[int, int, List[List[float]], List[int], List[int], List[float]]
+
+
+class _ReplayChunks:
+    """Bounded-memory accessor of the replay terms and CSR successor rows.
+
+    :meth:`get` returns the chunk ``(lo, hi, rows, ptr, succ, ebytes)`` holding
+    task ``i`` (``lo <= i < hi``): ``rows[i - lo]`` lists the task's ten
+    replay terms in :func:`_replay_terms` order, and its successor edges are
+    ``e in range(ptr[i - lo], ptr[i - lo + 1])``, with target ``succ[e]`` and
+    payload ``ebytes[e]``.  Chunks are computed on demand off the compiled
+    graph's (memory-mapped) arrays and held in a small LRU.  Every term
+    expression is element-wise, so a chunk holds exactly the floats of the
+    corresponding slice of the full-graph arrays the C kernel reads.
+    """
+
+    #: Resident chunk budget.  The loop reads only the chunk of a task it
+    #: starts or completes, and the tasks in flight span a narrow band of
+    #: dense indices, so a handful of chunks absorbs the straddle.
+    CAPACITY = 4
+
+    def __init__(
+        self,
+        compiled: CompiledGraph,
+        machine: MachineSpec,
+        config: SimulationConfig,
+        chunk: int,
+    ) -> None:
+        if chunk < 1:
+            raise ValueError(f"chunk must be a positive task count, got {chunk}")
+        self._compiled = compiled
+        self._machine = machine
+        self._costs = config.costs
+        self._contention = bool(config.model_memory_contention)
+        self._chunk = int(chunk)
+        self._lru: "OrderedDict[int, _Chunk]" = OrderedDict()
+
+    def get(self, i: int) -> _Chunk:
+        """The chunk holding task ``i``."""
+        base = i // self._chunk
+        entry = self._lru.get(base)
+        if entry is not None:
+            self._lru.move_to_end(base)
+            return entry
+        c = self._compiled
+        lo = base * self._chunk
+        hi = min(lo + self._chunk, c.n)
+        terms = _replay_terms(
+            np.asarray(c.durations[lo:hi]),
+            np.asarray(c.mem_bytes[lo:hi]),
+            np.asarray(c.input_bytes[lo:hi]),
+            np.asarray(c.output_bytes[lo:hi]),
+            self._machine,
+            self._costs,
+            self._contention,
+        )
+        ptr = np.asarray(c.succ_indptr[lo : hi + 1], dtype=np.int64)
+        e_lo, e_hi = int(ptr[0]), int(ptr[-1])
+        entry = (
+            lo,
+            hi,
+            np.column_stack(terms).tolist(),
+            (ptr - e_lo).tolist(),
+            np.asarray(c.succ_indices[e_lo:e_hi]).tolist(),
+            np.asarray(c.edge_bytes[e_lo:e_hi], dtype=np.float64).tolist(),
+        )
+        if len(self._lru) >= self.CAPACITY:
+            self._lru.popitem(last=False)
+        self._lru[base] = entry
+        return entry
+
+
+def _typed(code: str, values: np.ndarray) -> array:
+    """A flat :class:`array.array` copy of ``values`` (items read as Python scalars)."""
+    out = array(code)
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.dtype(code))).cast("B"))
+    return out
+
+
+def _uniform_stream(seed: int) -> Iterator[float]:
+    """The fault-draw uniforms of ``seed``, generated ``_DRAW_CHUNK`` at a time."""
+    rand = np.random.default_rng(np.random.SeedSequence(seed)).random
+    return chain.from_iterable(iter(lambda: rand(_DRAW_CHUNK).tolist(), None))
+
+
+def _simulate_python(
     cache: SimGraphCache,
     machine: MachineSpec,
     config: SimulationConfig,
-    arrays: _ReplayArrays,
-    is_replicated: List[bool],
+    chunk: int = CHUNK_TASKS,
 ) -> SimulationResult:
-    """Specialised replay for one-node machines (the Figure 4/5 shape).
+    """The pure-Python replay: one general event loop in bounded memory.
 
-    With a single node there is no placement, no cross-node communication
-    delay and a single ready queue, so the loop reduces to heap traffic,
-    fault draws and indexed accumulation.  The event/push order and every
-    accumulation order mirror the reference loop exactly.
+    The loop mirrors the reference event loop (and ``_simkernel.c``) event for
+    event.  Besides its output, it allocates a few numeric words per task in
+    flat typed arrays plus :attr:`_ReplayChunks.CAPACITY` chunks of ``chunk``
+    tasks; per-task records, when ``config.collect_records`` asks for them,
+    add five more float arrays and the record objects themselves.
     """
     n = cache.n
-    dur = arrays.dur
-    mem = arrays.mem
-    core_busy0 = arrays.core_busy0
-    rep_core_busy = arrays.rep_core_busy
-    completion_spare = arrays.completion_spare
-    core_busy_nospare = arrays.core_busy_nospare
-    completion_nospare = arrays.completion_nospare
-    overhead_rep = arrays.overhead_rep
-    restore_dur = arrays.restore_dur
-    restore_dur_vote = arrays.restore_dur_vote
-    successors = cache.successors
+    n_nodes = machine.n_nodes
+    chunks = _ReplayChunks(cache.compiled, machine, config, chunk)
+    in_degree = cache.compiled.in_degrees()
+    pending = _typed("i", in_degree)
+    earliest = array("d", bytes(8 * n))
+    node_of = _typed("i", cache.node_map_np(n_nodes))
+    flags = _typed("B", cache.replicated_flags_np(config))
     decision_s = config.costs.decision_s
     contention = config.model_memory_contention
-    collect = config.collect_records
+    net_latency = machine.network_latency_s
+    net_bandwidth = machine.network_bandwidth_Bps
 
     p_crash = config.crash_probability
     p_sdc = config.sdc_probability
@@ -677,16 +624,18 @@ def _replay_single_node(
     crash_hi = p_crash >= 1.0
     sdc_mid = 0.0 < p_sdc < 1.0
     sdc_hi = p_sdc >= 1.0
-    rand = np.random.default_rng(np.random.SeedSequence(config.seed)).random
-    dbuf: List[float] = []
-    dlen = 0
-    dpos = 0
+    draw = _uniform_stream(config.seed).__next__
 
-    free_cores = machine.cores_per_node
-    free_spares = machine.spare_cores_per_node
-    ready: List[int] = []
-    node_mem = 0.0
-    pending = list(cache.in_degree)
+    free_cores = [machine.cores_per_node] * n_nodes
+    free_spares = [machine.spare_cores_per_node] * n_nodes
+    node_ready: List[List[int]] = [[] for _ in range(n_nodes)]
+    node_mem = [0.0] * n_nodes
+
+    collect = config.collect_records
+    record_arrays: Optional[Tuple[array, ...]] = None
+    if collect:
+        record_arrays = tuple(array("d", bytes(8 * n)) for _ in range(5))
+        start_at, finish_at, overhead_at, recovery_at, base_at = record_arrays
 
     crashes = 0
     sdcs = 0
@@ -697,144 +646,127 @@ def _replay_single_node(
     n_started = 0
     makespan = 0.0
 
-    if collect:
-        start_at = [0.0] * n
-        finish_at = [0.0] * n
-        overhead_at = [0.0] * n
-        recovery_at = [0.0] * n
-        record_arrays: Optional[Tuple[List[float], ...]] = (
-            start_at, finish_at, overhead_at, recovery_at, dur,
-        )
-    else:
-        record_arrays = None
+    # Initial ready events in index order: ascending (0.0, seq) is a heap.
+    heap: List[Tuple[float, int, int, int]] = [
+        (0.0, seq, _READY, i) for seq, i in enumerate(np.flatnonzero(in_degree == 0).tolist())
+    ]
+    seq = len(heap)
+    del in_degree
 
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    for i in range(n):
-        if pending[i] == 0:
-            heap.append((0.0, seq, _READY, i))
-            seq += 1
+    # The chunks last read by the start and the completion branch.
+    s_lo = s_hi = c_lo = c_hi = 0
+    rows: List[List[float]] = []
+    ptr: List[int] = []
+    succ: List[int] = []
+    ebytes: List[float] = []
 
     while heap:
         now, _, kind, i = heappop(heap)
+        nid = node_of[i]
         if kind == _READY:
-            heappush(ready, i)
+            heappush(node_ready[nid], i)
         elif kind == _FREE:
-            free_cores += 1
+            free_cores[nid] += 1
         elif kind == _SPARE_FREE:
-            free_spares += 1
+            free_spares[nid] += 1
             continue
         else:  # _COMPLETE
-            for s in successors[i]:
+            if not c_lo <= i < c_hi:
+                c_lo, c_hi, _, ptr, succ, ebytes = chunks.get(i)
+            k = i - c_lo
+            for e in range(ptr[k], ptr[k + 1]):
+                s = succ[e]
+                delay = 0.0
+                if node_of[s] != nid:
+                    delay = net_latency + ebytes[e] / net_bandwidth
+                arrival = now + delay
+                if arrival > earliest[s]:
+                    earliest[s] = arrival
                 pending[s] -= 1
                 if pending[s] == 0:
-                    heappush(heap, (now, seq, _READY, s))
+                    at = now if now > earliest[s] else earliest[s]
+                    heappush(heap, (at, seq, _READY, s))
                     seq += 1
 
-        # try_start: drain the ready heap while cores are free (start inlined).
-        while free_cores > 0 and ready:
+        # try_start(nid): drain the node's ready heap while cores are free.
+        ready = node_ready[nid]
+        while free_cores[nid] > 0 and ready:
             i = heappop(ready)
-            free_cores -= 1
-            if is_replicated[i]:
+            free_cores[nid] -= 1
+            if not s_lo <= i < s_hi:
+                s_lo, s_hi, rows, _, _, _ = chunks.get(i)
+            (
+                dur,
+                mem,
+                core_busy0,
+                rep_core_busy,
+                completion_spare,
+                core_busy_nospare,
+                completion_nospare,
+                overhead_rep,
+                restore_dur,
+                restore_dur_vote,
+            ) = rows[i - s_lo]
+            if flags[i]:
                 replicated_count += 1
-                if free_spares > 0:
-                    free_spares -= 1
+                if free_spares[nid] > 0:
+                    free_spares[nid] -= 1
                     use_spare = True
-                    core_busy = rep_core_busy[i]
-                    completion = completion_spare[i]
+                    core_busy = rep_core_busy
+                    completion = completion_spare
                 else:
                     use_spare = False
-                    core_busy = core_busy_nospare[i]
-                    completion = completion_nospare[i]
+                    core_busy = core_busy_nospare
+                    completion = completion_nospare
+                # Draw order: both crash draws, then an SDC draw for each
+                # replica that did not crash.
                 if crash_mid:
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash0 = dbuf[dpos] < p_crash
-                    dpos += 1
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash1 = dbuf[dpos] < p_crash
-                    dpos += 1
+                    crash0 = draw() < p_crash
+                    crash1 = draw() < p_crash
                 else:
                     crash0 = crash1 = crash_hi
                 if sdc_mid:
-                    if crash0:
-                        sdc0 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc0 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                    if crash1:
-                        sdc1 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc1 = dbuf[dpos] < p_sdc
-                        dpos += 1
+                    sdc0 = not crash0 and draw() < p_sdc
+                    sdc1 = not crash1 and draw() < p_sdc
                 else:
-                    sdc0 = (not crash0) and sdc_hi
-                    sdc1 = (not crash1) and sdc_hi
+                    sdc0 = not crash0 and sdc_hi
+                    sdc1 = not crash1 and sdc_hi
                 crashes += crash0 + crash1
                 sdcs += sdc0 + sdc1
                 if crash0 and crash1:
-                    recovery = restore_dur[i]
+                    recovery = restore_dur
                     completion += recovery
                     total_recovery += recovery
                 elif (sdc0 != sdc1) and not (crash0 or crash1):
-                    recovery = restore_dur_vote[i]
+                    recovery = restore_dur_vote
                     completion += recovery
                     total_recovery += recovery
                 else:
                     recovery = 0.0
-                overhead = overhead_rep[i]
+                overhead = overhead_rep
             else:
                 use_spare = False
-                if crash_mid:
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash0 = dbuf[dpos] < p_crash
-                    dpos += 1
-                else:
-                    crash0 = crash_hi
+                crash0 = draw() < p_crash if crash_mid else crash_hi
                 if sdc_mid:
-                    if crash0:
-                        sdc0 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc0 = dbuf[dpos] < p_sdc
-                        dpos += 1
+                    sdc0 = not crash0 and draw() < p_sdc
                 else:
-                    sdc0 = (not crash0) and sdc_hi
+                    sdc0 = not crash0 and sdc_hi
                 crashes += crash0
                 sdcs += sdc0
                 if crash0:
-                    recovery = dur[i]
-                    core_busy = core_busy0[i] + recovery
+                    recovery = dur
+                    core_busy = core_busy0 + recovery
                     total_recovery += recovery
                 else:
                     recovery = 0.0
-                    core_busy = core_busy0[i]
+                    core_busy = core_busy0
                 completion = core_busy
                 overhead = decision_s
 
             total_overhead += overhead
-            total_work += dur[i]
+            total_work += dur
             if contention:
-                node_mem += mem[i]
+                node_mem[nid] += mem
             finish = now + completion
             if finish > makespan:
                 makespan = finish
@@ -843,6 +775,7 @@ def _replay_single_node(
                 finish_at[i] = finish
                 overhead_at[i] = overhead
                 recovery_at[i] = recovery
+                base_at[i] = dur
             n_started += 1
             # Spare release precedes core release at equal timestamps, as in
             # the reference loop, so a task started by the freed core sees the
@@ -859,545 +792,13 @@ def _replay_single_node(
         cache,
         machine,
         config,
-        [0] * n if collect else [],
-        is_replicated,
-        n_started,
-        makespan,
-        node_mem,
-        (total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count),
-        record_arrays,
-    )
-
-
-def _replay_multi_node(
-    cache: SimGraphCache,
-    machine: MachineSpec,
-    config: SimulationConfig,
-    arrays: _ReplayArrays,
-    is_replicated: List[bool],
-) -> SimulationResult:
-    """General replay over multiple nodes (cross-node delays, per-node queues)."""
-    n = cache.n
-    n_nodes = machine.n_nodes
-    dur = arrays.dur
-    mem = arrays.mem
-    core_busy0 = arrays.core_busy0
-    rep_core_busy = arrays.rep_core_busy
-    completion_spare = arrays.completion_spare
-    core_busy_nospare = arrays.core_busy_nospare
-    completion_nospare = arrays.completion_nospare
-    overhead_rep = arrays.overhead_rep
-    restore_dur = arrays.restore_dur
-    restore_dur_vote = arrays.restore_dur_vote
-    successors = cache.successors
-    edge_bytes = cache.edge_bytes
-    node_of = cache.node_map(n_nodes)
-    decision_s = config.costs.decision_s
-    contention = config.model_memory_contention
-    collect = config.collect_records
-    net_latency = machine.network_latency_s
-    net_bandwidth = machine.network_bandwidth_Bps
-
-    p_crash = config.crash_probability
-    p_sdc = config.sdc_probability
-    crash_mid = 0.0 < p_crash < 1.0
-    crash_hi = p_crash >= 1.0
-    sdc_mid = 0.0 < p_sdc < 1.0
-    sdc_hi = p_sdc >= 1.0
-    rand = np.random.default_rng(np.random.SeedSequence(config.seed)).random
-    dbuf: List[float] = []
-    dlen = 0
-    dpos = 0
-
-    free_cores = [machine.cores_per_node] * n_nodes
-    free_spares = [machine.spare_cores_per_node] * n_nodes
-    node_ready: List[List[int]] = [[] for _ in range(n_nodes)]
-    node_mem = [0.0] * n_nodes
-    pending = list(cache.in_degree)
-    earliest = [0.0] * n
-
-    crashes = 0
-    sdcs = 0
-    total_overhead = 0.0
-    total_recovery = 0.0
-    total_work = 0.0
-    replicated_count = 0
-    n_started = 0
-    makespan = 0.0
-
-    if collect:
-        start_at = [0.0] * n
-        finish_at = [0.0] * n
-        overhead_at = [0.0] * n
-        recovery_at = [0.0] * n
-        record_arrays: Optional[Tuple[List[float], ...]] = (
-            start_at, finish_at, overhead_at, recovery_at, dur,
-        )
-    else:
-        record_arrays = None
-
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    for i in range(n):
-        if pending[i] == 0:
-            heap.append((0.0, seq, _READY, i))
-            seq += 1
-
-    while heap:
-        now, _, kind, i = heappop(heap)
-        nid = node_of[i]
-        if kind == _READY:
-            heappush(node_ready[nid], i)
-        elif kind == _FREE:
-            free_cores[nid] += 1
-        elif kind == _SPARE_FREE:
-            free_spares[nid] += 1
-            continue
-        else:  # _COMPLETE
-            ebrow = edge_bytes[i]
-            for k, s in enumerate(successors[i]):
-                delay = 0.0
-                if node_of[s] != nid:
-                    delay = net_latency + ebrow[k] / net_bandwidth
-                arrival = now + delay
-                if arrival > earliest[s]:
-                    earliest[s] = arrival
-                pending[s] -= 1
-                if pending[s] == 0:
-                    at = now if now > earliest[s] else earliest[s]
-                    heappush(heap, (at, seq, _READY, s))
-                    seq += 1
-
-        # try_start(nid): drain the node's ready heap while cores are free.
-        ready = node_ready[nid]
-        while free_cores[nid] > 0 and ready:
-            i = heappop(ready)
-            free_cores[nid] -= 1
-            if is_replicated[i]:
-                replicated_count += 1
-                if free_spares[nid] > 0:
-                    free_spares[nid] -= 1
-                    use_spare = True
-                    core_busy = rep_core_busy[i]
-                    completion = completion_spare[i]
-                else:
-                    use_spare = False
-                    core_busy = core_busy_nospare[i]
-                    completion = completion_nospare[i]
-                if crash_mid:
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash0 = dbuf[dpos] < p_crash
-                    dpos += 1
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash1 = dbuf[dpos] < p_crash
-                    dpos += 1
-                else:
-                    crash0 = crash1 = crash_hi
-                if sdc_mid:
-                    if crash0:
-                        sdc0 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc0 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                    if crash1:
-                        sdc1 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc1 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                else:
-                    sdc0 = (not crash0) and sdc_hi
-                    sdc1 = (not crash1) and sdc_hi
-                crashes += crash0 + crash1
-                sdcs += sdc0 + sdc1
-                if crash0 and crash1:
-                    recovery = restore_dur[i]
-                    completion += recovery
-                    total_recovery += recovery
-                elif (sdc0 != sdc1) and not (crash0 or crash1):
-                    recovery = restore_dur_vote[i]
-                    completion += recovery
-                    total_recovery += recovery
-                else:
-                    recovery = 0.0
-                overhead = overhead_rep[i]
-            else:
-                use_spare = False
-                if crash_mid:
-                    if dpos >= dlen:
-                        dbuf = rand(_DRAW_CHUNK).tolist()
-                        dlen = _DRAW_CHUNK
-                        dpos = 0
-                    crash0 = dbuf[dpos] < p_crash
-                    dpos += 1
-                else:
-                    crash0 = crash_hi
-                if sdc_mid:
-                    if crash0:
-                        sdc0 = False
-                    else:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        sdc0 = dbuf[dpos] < p_sdc
-                        dpos += 1
-                else:
-                    sdc0 = (not crash0) and sdc_hi
-                crashes += crash0
-                sdcs += sdc0
-                if crash0:
-                    recovery = dur[i]
-                    core_busy = core_busy0[i] + recovery
-                    total_recovery += recovery
-                else:
-                    recovery = 0.0
-                    core_busy = core_busy0[i]
-                completion = core_busy
-                overhead = decision_s
-
-            total_overhead += overhead
-            total_work += dur[i]
-            if contention:
-                node_mem[nid] += mem[i]
-            finish = now + completion
-            if finish > makespan:
-                makespan = finish
-            if collect:
-                start_at[i] = now
-                finish_at[i] = finish
-                overhead_at[i] = overhead
-                recovery_at[i] = recovery
-            n_started += 1
-            if use_spare:
-                heappush(heap, (now + core_busy, seq, _SPARE_FREE, i))
-                seq += 1
-            heappush(heap, (now + core_busy, seq, _FREE, i))
-            seq += 1
-            heappush(heap, (finish, seq, _COMPLETE, i))
-            seq += 1
-
-    return _finish(
-        cache,
-        machine,
-        config,
         node_of,
-        is_replicated,
+        flags,
         n_started,
         makespan,
-        max(node_mem) if node_mem else 0.0,
+        max(node_mem),
         (total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count),
         record_arrays,
-    )
-
-
-class _ChunkedReplay:
-    """Bounded-memory view of the replay terms: per-chunk slices on demand.
-
-    ``row(i)`` returns the ten replay terms of task ``i`` as Python floats,
-    computing (and LRU-caching) one chunk-sized slice of :func:`_replay_terms`
-    at a time directly off the compiled graph's (memory-mapped) arrays.  Since
-    every term expression is element-wise, each chunk is bit-identical to the
-    corresponding slice of the full-graph arrays — so the streaming loop reads
-    exactly the floats the in-core loops would.
-    """
-
-    #: Resident chunk budget.  The event-loop frontier visits tasks roughly in
-    #: topological (= dense-index) order, so a handful of chunks absorbs the
-    #: straddle between the started window and its completing predecessors.
-    _CAPACITY = 4
-
-    def __init__(
-        self,
-        cache: SimGraphCache,
-        machine: MachineSpec,
-        config: SimulationConfig,
-        chunk: int,
-    ) -> None:
-        self._compiled = cache.compiled
-        self._machine = machine
-        self._costs = config.costs
-        self._contention = bool(config.model_memory_contention)
-        self._chunk = int(chunk)
-        self._n = cache.n
-        self._chunks: "OrderedDict[int, Tuple[np.ndarray, ...]]" = OrderedDict()
-
-    def row(self, i: int) -> Tuple[float, ...]:
-        """The ten replay terms of task ``i`` (``_ReplayArrays`` field order)."""
-        base, off = divmod(i, self._chunk)
-        terms = self._chunks.get(base)
-        if terms is None:
-            lo = base * self._chunk
-            hi = min(lo + self._chunk, self._n)
-            c = self._compiled
-            terms = _replay_terms(
-                np.asarray(c.durations[lo:hi]),
-                np.asarray(c.mem_bytes[lo:hi]),
-                np.asarray(c.input_bytes[lo:hi]),
-                np.asarray(c.output_bytes[lo:hi]),
-                self._machine,
-                self._costs,
-                self._contention,
-            )
-            while len(self._chunks) >= self._CAPACITY:
-                self._chunks.popitem(last=False)
-            self._chunks[base] = terms
-        else:
-            self._chunks.move_to_end(base)
-        return tuple(float(a[off]) for a in terms)
-
-
-def _replay_stream(
-    cache: SimGraphCache,
-    machine: MachineSpec,
-    config: SimulationConfig,
-    chunk: int,
-) -> SimulationResult:
-    """Out-of-core replay: the general event loop over chunked replay terms.
-
-    Bit-identical to the in-core scalar loops (the general multi-node loop
-    degenerates to the single-node one at ``n_nodes == 1`` — same heap tuples,
-    same draw sequence, same accumulation order), but holds no O(n) Python
-    state: per-task numeric state lives in flat NumPy arrays (pending counts,
-    earliest-start times, node map, replication flags), successor rows are
-    sliced per completion straight off the compiled graph's memory-mapped CSR,
-    and the ten replay-term arrays are materialised one chunk at a time
-    through :class:`_ChunkedReplay`.  Peak resident memory is therefore
-    O(n) * a few numeric words + O(chunk), instead of O(n) Python floats
-    times ten term lists.  Per-task records are not supported here — the
-    dispatcher only selects this loop when ``collect_records`` is off.
-    """
-    n = cache.n
-    n_nodes = machine.n_nodes
-    compiled = cache.compiled
-    terms = _ChunkedReplay(cache, machine, config, chunk)
-    succ_ptr = compiled.succ_indptr
-    succ_idx = compiled.succ_indices
-    succ_ebs = compiled.edge_bytes
-    node_of = cache.node_map_np(n_nodes)
-    flags = cache.replicated_flags_np(config)
-    decision_s = config.costs.decision_s
-    contention = config.model_memory_contention
-    net_latency = machine.network_latency_s
-    net_bandwidth = machine.network_bandwidth_Bps
-
-    p_crash = config.crash_probability
-    p_sdc = config.sdc_probability
-    crash_mid = 0.0 < p_crash < 1.0
-    crash_hi = p_crash >= 1.0
-    sdc_mid = 0.0 < p_sdc < 1.0
-    sdc_hi = p_sdc >= 1.0
-    rand = np.random.default_rng(np.random.SeedSequence(config.seed)).random
-    dbuf: List[float] = []
-    dlen = 0
-    dpos = 0
-
-    free_cores = [machine.cores_per_node] * n_nodes
-    free_spares = [machine.spare_cores_per_node] * n_nodes
-    node_ready: List[List[int]] = [[] for _ in range(n_nodes)]
-    node_mem = [0.0] * n_nodes
-    pending = compiled.in_degrees()
-    earliest = np.zeros(n, dtype=np.float64)
-
-    crashes = 0
-    sdcs = 0
-    total_overhead = 0.0
-    total_recovery = 0.0
-    total_work = 0.0
-    replicated_count = 0
-    n_started = 0
-    makespan = 0.0
-
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    for i in np.flatnonzero(pending == 0).tolist():
-        heap.append((0.0, seq, _READY, i))
-        seq += 1
-
-    with trace_span(active_tracer(), "sim.stream", tasks=n, chunk=chunk):
-        while heap:
-            now, _, kind, i = heappop(heap)
-            nid = int(node_of[i])
-            if kind == _READY:
-                heappush(node_ready[nid], i)
-            elif kind == _FREE:
-                free_cores[nid] += 1
-            elif kind == _SPARE_FREE:
-                free_spares[nid] += 1
-                continue
-            else:  # _COMPLETE
-                elo = int(succ_ptr[i])
-                ehi = int(succ_ptr[i + 1])
-                if ehi > elo:
-                    srow = succ_idx[elo:ehi].tolist()
-                    ebrow = succ_ebs[elo:ehi].tolist()
-                    for k, s in enumerate(srow):
-                        delay = 0.0
-                        if int(node_of[s]) != nid:
-                            delay = net_latency + ebrow[k] / net_bandwidth
-                        arrival = now + delay
-                        if arrival > earliest[s]:
-                            earliest[s] = arrival
-                        pending[s] -= 1
-                        if pending[s] == 0:
-                            e = float(earliest[s])
-                            at = now if now > e else e
-                            heappush(heap, (at, seq, _READY, s))
-                            seq += 1
-
-            # try_start(nid): drain the node's ready heap while cores are free.
-            ready = node_ready[nid]
-            while free_cores[nid] > 0 and ready:
-                i = heappop(ready)
-                free_cores[nid] -= 1
-                (
-                    dur_i,
-                    mem_i,
-                    core_busy0_i,
-                    rep_core_busy_i,
-                    completion_spare_i,
-                    core_busy_nospare_i,
-                    completion_nospare_i,
-                    overhead_rep_i,
-                    restore_dur_i,
-                    restore_dur_vote_i,
-                ) = terms.row(i)
-                if flags[i]:
-                    replicated_count += 1
-                    if free_spares[nid] > 0:
-                        free_spares[nid] -= 1
-                        use_spare = True
-                        core_busy = rep_core_busy_i
-                        completion = completion_spare_i
-                    else:
-                        use_spare = False
-                        core_busy = core_busy_nospare_i
-                        completion = completion_nospare_i
-                    if crash_mid:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        crash0 = dbuf[dpos] < p_crash
-                        dpos += 1
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        crash1 = dbuf[dpos] < p_crash
-                        dpos += 1
-                    else:
-                        crash0 = crash1 = crash_hi
-                    if sdc_mid:
-                        if crash0:
-                            sdc0 = False
-                        else:
-                            if dpos >= dlen:
-                                dbuf = rand(_DRAW_CHUNK).tolist()
-                                dlen = _DRAW_CHUNK
-                                dpos = 0
-                            sdc0 = dbuf[dpos] < p_sdc
-                            dpos += 1
-                        if crash1:
-                            sdc1 = False
-                        else:
-                            if dpos >= dlen:
-                                dbuf = rand(_DRAW_CHUNK).tolist()
-                                dlen = _DRAW_CHUNK
-                                dpos = 0
-                            sdc1 = dbuf[dpos] < p_sdc
-                            dpos += 1
-                    else:
-                        sdc0 = (not crash0) and sdc_hi
-                        sdc1 = (not crash1) and sdc_hi
-                    crashes += crash0 + crash1
-                    sdcs += sdc0 + sdc1
-                    if crash0 and crash1:
-                        recovery = restore_dur_i
-                        completion += recovery
-                        total_recovery += recovery
-                    elif (sdc0 != sdc1) and not (crash0 or crash1):
-                        recovery = restore_dur_vote_i
-                        completion += recovery
-                        total_recovery += recovery
-                    else:
-                        recovery = 0.0
-                    overhead = overhead_rep_i
-                else:
-                    use_spare = False
-                    if crash_mid:
-                        if dpos >= dlen:
-                            dbuf = rand(_DRAW_CHUNK).tolist()
-                            dlen = _DRAW_CHUNK
-                            dpos = 0
-                        crash0 = dbuf[dpos] < p_crash
-                        dpos += 1
-                    else:
-                        crash0 = crash_hi
-                    if sdc_mid:
-                        if crash0:
-                            sdc0 = False
-                        else:
-                            if dpos >= dlen:
-                                dbuf = rand(_DRAW_CHUNK).tolist()
-                                dlen = _DRAW_CHUNK
-                                dpos = 0
-                            sdc0 = dbuf[dpos] < p_sdc
-                            dpos += 1
-                    else:
-                        sdc0 = (not crash0) and sdc_hi
-                    crashes += crash0
-                    sdcs += sdc0
-                    if crash0:
-                        recovery = dur_i
-                        core_busy = core_busy0_i + recovery
-                        total_recovery += recovery
-                    else:
-                        recovery = 0.0
-                        core_busy = core_busy0_i
-                    completion = core_busy
-                    overhead = decision_s
-
-                total_overhead += overhead
-                total_work += dur_i
-                if contention:
-                    node_mem[nid] += mem_i
-                finish = now + completion
-                if finish > makespan:
-                    makespan = finish
-                n_started += 1
-                if use_spare:
-                    heappush(heap, (now + core_busy, seq, _SPARE_FREE, i))
-                    seq += 1
-                heappush(heap, (now + core_busy, seq, _FREE, i))
-                seq += 1
-                heappush(heap, (finish, seq, _COMPLETE, i))
-                seq += 1
-
-    return _finish(
-        cache,
-        machine,
-        config,
-        [],
-        [],
-        n_started,
-        makespan,
-        max(node_mem) if node_mem else 0.0,
-        (total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count),
-        None,
     )
 
 

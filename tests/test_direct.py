@@ -7,8 +7,8 @@ Covers the ISSUE-10 tentpole and its regression satellites:
   guarantee that makes the direct path a drop-in cache citizen;
 * the erdos ``sampling=skip`` O(edges) generator (a spec parameter, so the
   two draw orders can never share a cache entry);
-* the out-of-core streaming replay (``REPRO_SIM_CHUNK_TASKS``) against the
-  in-core scalar loops, bit for bit;
+* the python replay under small explicit ``chunk=`` sizes against the same
+  replay from a single chunk, bit for bit, records included;
 * direct generation wired through ``compiled_sim_cache`` (store and
   in-memory branches) behind ``REPRO_DIRECT_GEN``;
 * quarantine-on-corruption for torn zips whose damage lands inside the
@@ -18,6 +18,7 @@ Covers the ISSUE-10 tentpole and its regression satellites:
 import json
 import os
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro.simulator.execution import SimulationConfig
 from repro.simulator.fastpath import (
     SimGraphCache,
     _simulate_python,
-    sim_chunk_tasks,
     simulate_compiled_batch,
 )
 from repro.simulator.machine import MachineSpec
@@ -184,49 +184,48 @@ class TestStreamingReplay:
             r.crashes_injected, r.sdcs_injected, r.replicated_tasks,
         )
 
-    def test_stream_bit_identical_to_in_core(self, monkeypatch):
+    def test_stream_bit_identical_to_in_core(self):
         compiled = generate_compiled(parse_workload("layered:depth=25,width=12,seed=4"), 1.0)
         for machine in self.MACHINES:
             for config in self.CONFIGS:
-                monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "0")
-                expected = _simulate_python(SimGraphCache(compiled=compiled), machine, config)
-                monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "37")
-                streamed = _simulate_python(SimGraphCache(compiled=compiled), machine, config)
+                expected = _simulate_python(
+                    SimGraphCache(compiled=compiled), machine, config, chunk=compiled.n
+                )
+                streamed = _simulate_python(
+                    SimGraphCache(compiled=compiled), machine, config, chunk=37
+                )
                 assert self._fields(streamed) == self._fields(expected)
 
-    def test_records_requested_bypasses_streaming(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "5")
+    def test_records_under_small_chunks_match_in_core(self):
         compiled = generate_compiled(parse_workload("wavefront:rows=6,cols=6"), 1.0)
-        config = SimulationConfig(collect_records=True)
-        result = _simulate_python(
-            SimGraphCache(compiled=compiled), MachineSpec(n_nodes=1), config
-        )
-        assert len(result.records) == compiled.n  # records still materialise
+        for machine in self.MACHINES:
+            for config in self.CONFIGS:
+                config = replace(config, collect_records=True)
+                in_core = _simulate_python(
+                    SimGraphCache(compiled=compiled), machine, config, chunk=compiled.n
+                )
+                chunked = _simulate_python(
+                    SimGraphCache(compiled=compiled), machine, config, chunk=5
+                )
+                assert len(chunked.records) == compiled.n
+                assert chunked.records == in_core.records
+                assert self._fields(chunked) == self._fields(in_core)
 
-    def test_batch_python_backend_streams_consistently(self, monkeypatch):
+    def test_batch_python_backend_streams_consistently(self):
         compiled = generate_compiled(parse_workload("erdos:tasks=150,p=0.04,sampling=skip"), 1.0)
         machine = MachineSpec(n_nodes=2, cores_per_node=4)
         config = SimulationConfig(crash_probability=0.05)
-        monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "0")
-        expected = simulate_compiled_batch(
+        batch = simulate_compiled_batch(
             SimGraphCache(compiled=compiled), machine, config, seeds=(0, 1, 2),
             backend="python",
         )
-        monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "41")
-        streamed = simulate_compiled_batch(
-            SimGraphCache(compiled=compiled), machine, config, seeds=(0, 1, 2),
-            backend="python",
-        )
-        assert [self._fields(r) for r in streamed] == [self._fields(r) for r in expected]
-
-    def test_chunk_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_CHUNK_TASKS", raising=False)
-        assert sim_chunk_tasks() > 0
-        monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "1234")
-        assert sim_chunk_tasks() == 1234
-        monkeypatch.setenv("REPRO_SIM_CHUNK_TASKS", "many")
-        with pytest.raises(ValueError, match="REPRO_SIM_CHUNK_TASKS"):
-            sim_chunk_tasks()
+        streamed = [
+            _simulate_python(
+                SimGraphCache(compiled=compiled), machine, replace(config, seed=seed), chunk=41
+            )
+            for seed in (0, 1, 2)
+        ]
+        assert [self._fields(r) for r in streamed] == [self._fields(r) for r in batch]
 
 
 class TestRunnerWiring:

@@ -1,9 +1,12 @@
 """Tests for repro.simulator (event queue, machine, costs, graph execution)."""
 
+import os
+
 import pytest
 
 from repro.runtime.graph import TaskGraph
 from repro.runtime.task import DataHandle, TaskDescriptor, arg_in, arg_inout, arg_out
+from repro.simulator import backend
 from repro.simulator.costs import ReplicationCostModel
 from repro.simulator.engine import EventQueue
 from repro.simulator.execution import SimulationConfig, simulate_graph
@@ -287,3 +290,26 @@ class TestDistributedSimulation:
         small = simulate_graph(graph, marenostrum_cluster(1))
         large = simulate_graph(graph, marenostrum_cluster(4))
         assert large.speedup_vs(small) > 3.0
+
+
+class TestKernelBuild:
+    """The cached C kernel is keyed by its source *and* its compile command."""
+
+    def test_path_depends_on_compiler_and_flags(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(backend.KERNEL_CACHE_ENV, str(tmp_path))
+        default = backend.kernel_lib_path("cc")
+        assert os.path.dirname(default) == str(tmp_path)
+        assert backend.kernel_lib_path("cc", backend.KERNEL_CFLAGS) == default
+        contracting = tuple(f for f in backend.KERNEL_CFLAGS if f != "-ffp-contract=off")
+        assert backend.kernel_lib_path("cc", contracting) != default
+        assert backend.kernel_lib_path("cc", (*backend.KERNEL_CFLAGS, "-O3")) != default
+        assert backend.kernel_lib_path("clang") != default
+
+    def test_build_lands_at_the_command_keyed_path(self, tmp_path, monkeypatch):
+        if backend._find_cc() is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv(backend.KERNEL_CACHE_ENV, str(tmp_path))
+        built = backend.build_kernel_lib()
+        assert built == backend.kernel_lib_path()
+        assert os.path.exists(built)
+        assert backend.build_kernel_lib() == built  # reused, not rebuilt

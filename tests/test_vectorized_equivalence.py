@@ -8,7 +8,6 @@ Figure-level summaries are additionally checked through the public drivers,
 which exercises the experiment engine's fast/reference duality end to end.
 """
 
-import importlib.util
 import time
 from dataclasses import replace
 
@@ -39,7 +38,7 @@ from repro.simulator.backend import BackendUnavailable, resolve_backend
 from repro.simulator.execution import SimulationConfig, simulate_graph
 from repro.simulator.fastpath import (
     SimGraphCache,
-    _replicated_flags,
+    _simulate_python,
     simulate_compiled,
     simulate_compiled_batch,
     simulate_graph_fast,
@@ -111,22 +110,33 @@ class TestAppFitSweepEquivalence:
 
 
 class TestSimulatorEquivalence:
+    """The auto-selected path and each backend, named explicitly, against the
+    reference oracle."""
+
     def _compare(self, graph, machine, config, cache):
         ref = simulate_graph(graph, machine, config)
-        fast = simulate_graph_fast(graph, machine, config, cache=cache)
-        assert fast.makespan_s == ref.makespan_s
-        assert fast.total_work_s == ref.total_work_s
-        assert fast.total_overhead_s == ref.total_overhead_s
-        assert fast.total_recovery_s == ref.total_recovery_s
-        assert fast.crashes_injected == ref.crashes_injected
-        assert fast.sdcs_injected == ref.sdcs_injected
-        assert fast.replicated_tasks == ref.replicated_tasks
-        for tid, rec in ref.records.items():
-            frec = fast.records[tid]
-            assert frec.start_s == rec.start_s
-            assert frec.finish_s == rec.finish_s
-            assert frec.node == rec.node
-            assert frec.replicated == rec.replicated
+        _assert_results_identical(simulate_graph_fast(graph, machine, config, cache=cache), ref)
+        for backend in _available_backends():
+            fast = simulate_compiled(cache, machine, config, backend=backend)
+            _assert_results_identical(fast, ref)
+
+    def test_multi_chunk_python_loop(self, graphs):
+        graph = graphs["cholesky"]
+        cache = SimGraphCache(graph)
+        config = SimulationConfig(
+            replicated_ids=set(graph.task_ids()[::2]),
+            crash_probability=0.05,
+            sdc_probability=0.03,
+            seed=3,
+            collect_records=True,
+        )
+        # Seven 3-task chunks: more than the resident LRU budget of four.
+        assert len(graph) > 6 * 3
+        for machine in (shared_memory_node(4), marenostrum_cluster(n_nodes=3)):
+            _assert_results_identical(
+                _simulate_python(cache, machine, config, chunk=3),
+                simulate_graph(graph, machine, config),
+            )
 
     def test_shared_memory_benchmarks(self, graphs):
         distributed = set(distributed_benchmark_names())
@@ -250,6 +260,15 @@ class TestDriverEquivalence:
         assert fast.rows == ref.rows
 
 
+def _available_backends():
+    """``python`` plus ``cext`` when the C kernel builds on this machine."""
+    try:
+        resolve_backend("cext")
+    except BackendUnavailable:
+        return ("python",)
+    return ("python", "cext")
+
+
 def _assert_results_identical(got, ref):
     """Every observable field of two SimulationResults must match exactly."""
     assert got.makespan_s == ref.makespan_s
@@ -266,6 +285,9 @@ def _assert_results_identical(got, ref):
         assert grec.finish_s == rec.finish_s
         assert grec.node == rec.node
         assert grec.replicated == rec.replicated
+        assert grec.base_duration_s == rec.base_duration_s
+        assert grec.overhead_s == rec.overhead_s
+        assert grec.recovery_s == rec.recovery_s
 
 
 def _backend_or_skip(name):
@@ -376,7 +398,7 @@ class TestBatchedSimulation:
             cache, shared_memory_node(2), SimulationConfig(), seeds=[]
         ) == []
 
-    @pytest.mark.parametrize("backend", ["cext", "pykernel"])
+    @pytest.mark.parametrize("backend", ["cext"])
     def test_compiled_backends_match_python(self, graphs, backend):
         _backend_or_skip(backend)
         cache = SimGraphCache(graphs["cholesky"])
@@ -391,22 +413,12 @@ class TestBatchedSimulation:
                 cache, machine, config, _BATCH_SEEDS, backend=backend
             )
 
-    @pytest.mark.skipif(
-        importlib.util.find_spec("numba") is None, reason="numba not installed"
-    )
-    def test_numba_backend_matches_python(self, graphs):
-        _backend_or_skip("numba")
-        cache = SimGraphCache(graphs["cholesky"])
-        config = SimulationConfig(replicate_all=True, crash_probability=0.05, seed=0)
-        self._assert_lanes_match_scalar(
-            cache, shared_memory_node(4), config, _BATCH_SEEDS, backend="numba"
-        )
-
 
 class TestReplicatedIdsNormalization:
     """Regression: list-valued ``replicated_ids`` used to hit an O(n·m)
-    membership scan in ``_replicated_flags``; the config now normalizes to a
-    frozenset at construction, so flags stay O(n) and results are unchanged."""
+    membership scan when building the replication flags; the config now
+    normalizes to a frozenset at construction, so flags stay O(n) and results
+    are unchanged."""
 
     def test_list_config_is_normalized_and_identical(self, graphs):
         graph = graphs["cholesky"]
@@ -436,7 +448,7 @@ class TestReplicatedIdsNormalization:
         cache = SimGraphCache(graph)
         config = SimulationConfig(replicated_ids=list(graph.task_ids()))
         start = time.monotonic()
-        flags = _replicated_flags(cache, config)
+        flags = cache.replicated_flags_np(config)
         elapsed = time.monotonic() - start
-        assert all(flags) and len(flags) == len(graph)
+        assert flags.all() and len(flags) == len(graph)
         assert elapsed < 5.0

@@ -9,10 +9,11 @@ The comparison is exact (``==`` on every float): any difference means a
 backend's arithmetic diverged from the reference and the figure means built
 on it are wrong.
 
-Backends that are unavailable in the environment (e.g. ``numba`` when the
-optional extra is not installed) are reported and skipped; ``python`` must
-always run, so at least one identity check is guaranteed. Exit 1 on any
-mismatch.
+``python`` always runs, so at least one identity check is guaranteed.
+``cext`` is skipped only on a machine without a C compiler: when a compiler
+is found but the kernel does not build or load, the smoke fails, since
+``auto`` would otherwise fall back to the python loop without a word. Exit 1
+on any mismatch or on such a broken kernel build.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.apps import create_benchmark
-    from repro.simulator.backend import backend_status, resolve_backend
+    from repro.simulator.backend import _find_cc, backend_status, resolve_backend
     from repro.simulator.execution import SimulationConfig
     from repro.simulator.fastpath import SimGraphCache, simulate_compiled, simulate_compiled_batch
     from repro.simulator.machine import shared_memory_node
@@ -70,7 +71,11 @@ def main(argv=None) -> int:
     failures = 0
     for name, status in sorted(backend_status().items()):
         if status != "available":
-            print(f"batch-smoke: {name:8s} SKIP ({status})")
+            if name == "cext" and _find_cc() is not None:
+                failures += 1
+                print(f"batch-smoke: {name:8s} FAIL (a C compiler is present but {status})")
+            else:
+                print(f"batch-smoke: {name:8s} SKIP ({status})")
             continue
         resolve_backend(name)  # fail loudly if status lied
         batch = simulate_compiled_batch(cache, machine, config, seeds=args.seeds, backend=name)
@@ -86,7 +91,7 @@ def main(argv=None) -> int:
             print(f"batch-smoke: {name:8s} OK ({len(args.seeds)} lanes == scalar, {len(graph)} tasks)")
 
     if failures:
-        print(f"batch-smoke: FAILED ({failures} backend(s) diverged)")
+        print(f"batch-smoke: FAILED ({failures} backend(s) diverged or failed to build)")
         return 1
     print("batch-smoke: all available backends bit-identical to the scalar reference")
     return 0

@@ -12,7 +12,7 @@ Three checks, all against the real stores and engines:
    default on).
 3. **Bounded memory** — a ``--tasks``-sized layered workload is generated
    directly to the store and swept through one real ``workload_sweep`` cell
-   on the pure-python streaming backend; the process peak RSS must stay
+   on the bounded-memory python backend; the process peak RSS must stay
    under ``--budget-mib``.
 
 The default size (~2.5 * 10^5 tasks) keeps the quick CI lane under a minute;
@@ -100,7 +100,7 @@ def check_equivalence(spec_str: str, scale: float) -> None:
 
 
 def check_bounded_rss(tasks: int, budget_mib: float, fault_rate: float) -> None:
-    """One real workload_sweep cell on the streaming backend, RSS-capped."""
+    """One real workload_sweep cell on the python backend, RSS-capped."""
     width = max(int(round(tasks ** 0.5)), 1)
     depth = max((tasks + width - 1) // width, 1)
     spec_str = f"layered:depth={depth},width={width},seed=1"
