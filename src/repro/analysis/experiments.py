@@ -20,6 +20,15 @@ by an :class:`~repro.analysis.runner.ExperimentEngine`:
   (benchmark, scale, node count), so a graph is built once per run instead of
   once per policy x rate cell.
 
+Only two helpers branch on the ``fast`` flag.  :func:`_sim_inputs` hands a
+cell its ``(cache, graph)`` pair: the compiled replay cache on the fast path,
+the object graph the oracle walks on the reference path.  :func:`_appfit`
+prices App_FIT (threshold, decisions, unprotected FIT) for every policy cell
+and picks one of three bit-identical spellings (compiled arrays, vectorized
+descriptors, scalar ``AppFit``); :func:`_select` runs the named policies
+against it and serves the policies ablation, ``repro sweep`` and the
+workload sweep alike.
+
 Cell payloads are plain row dictionaries, so results are identical for any
 parallelism and worker scheduling order.
 """
@@ -27,7 +36,7 @@ parallelism and worker scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.analysis.runner import (
     ExperimentEngine,
@@ -36,10 +45,8 @@ from repro.analysis.runner import (
     benchmark_instance,
     cell_kind,
     compiled_sim_cache,
-    default_fast,
     derive_seed,
     make_spec,
-    sim_cache,
 )
 from repro.apps.base import Benchmark
 from repro.apps.linpack import LinpackBenchmark
@@ -65,8 +72,8 @@ from repro.faults.model import FailureModel
 from repro.faults.rates import FitRateSpec
 from repro.runtime.compiled import CompiledGraph
 from repro.runtime.graph import TaskGraph
-from repro.simulator.execution import SimulationConfig
-from repro.simulator.fastpath import simulate, simulate_compiled, simulate_compiled_batch
+from repro.simulator.execution import SimulationConfig, simulate_graph
+from repro.simulator.fastpath import SimGraphCache, simulate_compiled, simulate_compiled_batch
 from repro.simulator.machine import MachineSpec, marenostrum_cluster, shared_memory_node
 from repro.util.tables import TextTable
 
@@ -107,18 +114,32 @@ def _replica_seeds(base_seed: int, n_seeds: int) -> List[int]:
     return [base_seed] + [derive_seed(base_seed, "replica", j) for j in range(1, n_seeds)]
 
 
-def _seed_makespans(cache, graph, machine, config, seeds, fast) -> List[float]:
+def _sim_inputs(
+    spec: ExperimentSpec, n_nodes: Optional[int] = None
+) -> Tuple[Optional[SimGraphCache], Optional[TaskGraph]]:
+    """``(cache, graph)`` of a cell; exactly one of the two is set.
+
+    The fast path gets the compiled replay cache (no task objects are built
+    when the compiled-graph store is warm); the reference path gets the
+    object graph the oracle walks.
+    """
+    if spec.fast:
+        return compiled_sim_cache(spec.benchmark, spec.scale, n_nodes), None
+    return None, benchmark_graph(spec.benchmark, spec.scale, n_nodes)
+
+
+def _seed_makespans(cache, graph, machine, config, seeds) -> List[float]:
     """Per-seed makespans of one cell simulation, one entry per fault seed.
 
-    The fast path replays every seed as one batch over the shared replay
-    arrays (:func:`simulate_compiled_batch`); the reference path loops the
-    scalar simulator.  Both run seed ``s`` with ``replace(config, seed=s)``,
-    so lane ``j`` is bit-identical to the corresponding single-seed run.
+    A compiled ``cache`` replays every seed as one batch over the shared
+    replay arrays (:func:`simulate_compiled_batch`); a ``graph`` loops the
+    oracle.  Both run seed ``s`` with ``replace(config, seed=s)``, so lane
+    ``j`` is bit-identical to the corresponding single-seed run.
     """
-    if fast:
+    if cache is not None:
         sims = simulate_compiled_batch(cache, machine, config, seeds=seeds)
     else:
-        sims = [simulate(graph, machine, replace(config, seed=s), fast=False) for s in seeds]
+        sims = [simulate_graph(graph, machine, replace(config, seed=s)) for s in seeds]
     return [sim.makespan_s for sim in sims]
 
 
@@ -127,19 +148,23 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _appfit_threshold(graph: TaskGraph, rate_spec: FitRateSpec, fast: bool = False) -> float:
+def _appfit_threshold(graph: TaskGraph, rate_spec: FitRateSpec) -> float:
     """The benchmark's current (1x) FIT — the Figure 3 threshold.
 
     Per DESIGN.md this is the unprotected application FIT the runtime's own
     bookkeeping reports at today's error rates; dividing the exascale rates by
-    the multiplier (the paper's framing) is numerically identical.  The fast
-    variant batches the per-task estimation but sums in the same order, so
-    both paths return the same float.
+    the multiplier (the paper's framing) is numerically identical.
+    """
+    return FailureModel(rate_spec.at_todays_rates()).graph_total_fit(graph)
+
+
+def _appfit_threshold_vectorized(graph: TaskGraph, rate_spec: FitRateSpec) -> float:
+    """:func:`_appfit_threshold` with the per-task estimation batched.
+
+    Sums in the same order as the scalar loop, so both return the same float.
     """
     model = FailureModel(rate_spec.at_todays_rates())
-    if fast:
-        return sum(model.graph_fit_array(graph).tolist())
-    return model.graph_total_fit(graph)
+    return sum(model.graph_fit_array(graph).tolist())
 
 
 def _appfit_threshold_compiled(compiled: CompiledGraph, rate_spec: FitRateSpec) -> float:
@@ -151,14 +176,6 @@ def _appfit_threshold_compiled(compiled: CompiledGraph, rate_spec: FitRateSpec) 
     """
     model = FailureModel(rate_spec.at_todays_rates())
     return sum(model.fit_array_for_bytes(compiled.arg_bytes).tolist())
-
-
-def _unprotected_fit(graph: TaskGraph, replicated_ids, rate_spec: FitRateSpec) -> float:
-    """Summed FIT of the tasks left unprotected, under ``rate_spec``."""
-    model = FailureModel(rate_spec)
-    return sum(
-        model.task_total_fit(t) for t in graph.tasks() if t.task_id not in replicated_ids
-    )
 
 
 def _distributed_benchmark(name: str, n_nodes: int, scale: float) -> Benchmark:
@@ -188,27 +205,96 @@ def _distributed_benchmark(name: str, n_nodes: int, scale: float) -> Benchmark:
     raise KeyError(f"{name!r} is not a distributed benchmark")
 
 
-def _appfit_decisions(
-    graph: TaskGraph,
-    threshold: float,
-    estimator: ArgumentSizeEstimator,
-    residual_fit_factor: float,
-    fast: bool,
-) -> ReplicationDecisions:
-    """App_FIT over a whole graph: vectorized sweep or the scalar reference."""
-    if fast:
-        return decide_for_graph_fast(
-            graph, threshold, estimator, residual_fit_factor=residual_fit_factor
-        )
-    policy = AppFit(
-        threshold=threshold,
-        total_tasks=len(graph),
-        estimator=estimator,
-        residual_fit_factor=residual_fit_factor,
-    )
-    decisions = decide_for_graph(graph, policy)
-    decisions.audit = policy.audit()
-    return decisions
+class _AppFitPricing(NamedTuple):
+    """App_FIT on one cell: what every policy of the cell is measured against."""
+
+    #: The benchmark's current (1x) FIT, see :func:`_appfit_threshold`.
+    threshold: float
+    #: The estimator at the cell's scaled (exascale) rates.
+    estimator: ArgumentSizeEstimator
+    #: App_FIT's decisions, or ``None`` when the cell did not ask for them.
+    decisions: Optional[ReplicationDecisions]
+    #: ``replicated_ids -> summed FIT of the other tasks`` at the scaled rates.
+    unprotected_fit: Callable[[Set[int]], float]
+
+
+def _unprotected_pricer(
+    task_fits: Callable[[], Tuple[Sequence[int], Sequence[float]]]
+) -> Callable[[Set[int]], float]:
+    """``replicated_ids -> unprotected FIT``, summed left to right in task order.
+
+    ``task_fits()`` yields the task ids and their FITs; it runs on the first
+    pricing only, so cells that never price pay nothing.
+    """
+    memo: List[Tuple[Sequence[int], Sequence[float]]] = []
+
+    def unprotected_fit(replicated_ids: Set[int]) -> float:
+        if not memo:
+            memo.append(task_fits())
+        task_ids, fits = memo[0]
+        return sum(fit for tid, fit in zip(task_ids, fits) if tid not in replicated_ids)
+
+    return unprotected_fit
+
+
+def _appfit(
+    spec: ExperimentSpec, graph: Optional[TaskGraph] = None, decide: bool = True
+) -> _AppFitPricing:
+    """App_FIT on one cell: threshold, decisions (if ``decide``) and pricer.
+
+    The rates come from the spec's ``rate_spec``, ``multiplier`` and
+    ``residual_fit_factor`` parameters.  This is the only place a policy cell
+    picks a spelling; all three give bit-identical results:
+
+    * the reference path runs the scalar :class:`AppFit` over the object graph;
+    * a fast cell that passes the object ``graph`` (it holds it for the
+      baselines and does not simulate) uses the vectorized descriptors, so
+      it never maps the compiled arrays on top of the graph;
+    * any other fast cell uses the compiled arrays.
+    """
+    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
+    scaled_spec = rate_spec.scaled(spec.param("multiplier"))
+    estimator = ArgumentSizeEstimator(scaled_spec)
+    residual: float = spec.param("residual_fit_factor", 0.0)
+    decisions = None
+    if not spec.fast:
+        graph = benchmark_graph(spec.benchmark, spec.scale)
+        threshold = _appfit_threshold(graph, rate_spec)
+        if decide:
+            policy = AppFit(threshold, len(graph), estimator, residual_fit_factor=residual)
+            decisions = decide_for_graph(graph, policy)
+            decisions.audit = policy.audit()
+        model = FailureModel(scaled_spec)
+
+        def task_fits():
+            tasks = graph.tasks()
+            return [t.task_id for t in tasks], [model.task_total_fit(t) for t in tasks]
+
+    elif graph is not None:
+        threshold = _appfit_threshold_vectorized(graph, rate_spec)
+        if decide:
+            decisions = decide_for_graph_fast(
+                graph, threshold, estimator, residual_fit_factor=residual
+            )
+
+        def task_fits():
+            tasks = graph.tasks()
+            return [t.task_id for t in tasks], estimate_total_fits(estimator, tasks).tolist()
+
+    else:
+        compiled = compiled_sim_cache(spec.benchmark, spec.scale).compiled
+        threshold = _appfit_threshold_compiled(compiled, rate_spec)
+        if decide:
+            decisions = decide_for_compiled(
+                compiled, threshold, estimator, residual_fit_factor=residual
+            )
+
+        def task_fits():
+            from repro.core.vectorized import compiled_total_fits
+
+            return compiled.task_ids.tolist(), compiled_total_fits(estimator, compiled).tolist()
+
+    return _AppFitPricing(threshold, estimator, decisions, _unprotected_pricer(task_fits))
 
 
 # ---------------------------------------------------------------------------------
@@ -249,10 +335,8 @@ def _table1_row(spec: ExperimentSpec) -> ExperimentRow:
     warm cache regenerates Table I without building a single task graph; the
     reference path builds the graph and counts it, as before.
     """
-    if spec.fast:
-        n_tasks = compiled_sim_cache(spec.benchmark, spec.scale).n
-    else:
-        n_tasks = len(benchmark_graph(spec.benchmark, spec.scale))
+    cache, graph = _sim_inputs(spec)
+    n_tasks = cache.n if cache is not None else len(graph)
     info = benchmark_instance(spec.benchmark, spec.scale).info(n_tasks=n_tasks)
     return {
         "benchmark": info.name,
@@ -338,28 +422,16 @@ def _fig3_cell(spec: ExperimentSpec) -> ExperimentRow:
     decisions from the stored byte/duration arrays); the reference path walks
     the task descriptors.  Both produce bit-identical rows.
     """
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    multiplier: float = spec.param("multiplier")
-    residual: float = spec.param("residual_fit_factor", 0.0)
-    estimator = ArgumentSizeEstimator(rate_spec.scaled(multiplier))
-    if spec.fast:
-        compiled = compiled_sim_cache(spec.benchmark, spec.scale).compiled
-        threshold = _appfit_threshold_compiled(compiled, rate_spec)
-        decisions = decide_for_compiled(
-            compiled, threshold, estimator, residual_fit_factor=residual
-        )
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        threshold = _appfit_threshold(graph, rate_spec, fast=False)
-        decisions = _appfit_decisions(graph, threshold, estimator, residual, False)
+    appfit = _appfit(spec)
+    decisions = appfit.decisions
     audit = decisions.audit
     return {
         "benchmark": spec.benchmark,
-        "multiplier": multiplier,
+        "multiplier": spec.param("multiplier"),
         "n_tasks": decisions.total_tasks,
         "task_fraction": decisions.task_fraction,
         "time_fraction": decisions.time_fraction,
-        "threshold_fit": threshold,
+        "threshold_fit": appfit.threshold,
         "achieved_fit": audit.current_fit,
         "threshold_respected": audit.threshold_respected,
         "envelope_respected": audit.envelope_respected,
@@ -455,8 +527,8 @@ def _fig4_row(spec: ExperimentSpec) -> ExperimentRow:
     cores_per_node: int = spec.param("cores_per_node", 16)
     bench = benchmark_instance(spec.benchmark, spec.scale)
     machine = _machine_for(bench, cores_per_node)
-    if spec.fast:
-        cache = compiled_sim_cache(spec.benchmark, spec.scale)
+    cache, graph = _sim_inputs(spec)
+    if cache is not None:
         baseline = simulate_compiled(
             cache, machine, SimulationConfig(collect_records=False)
         )
@@ -466,11 +538,8 @@ def _fig4_row(spec: ExperimentSpec) -> ExperimentRow:
             SimulationConfig(replicate_all=True, collect_records=False),
         )
     else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        baseline = simulate(graph, machine, SimulationConfig(), fast=False)
-        replicated = simulate(
-            graph, machine, SimulationConfig(replicate_all=True), fast=False
-        )
+        baseline = simulate_graph(graph, machine, SimulationConfig())
+        replicated = simulate_graph(graph, machine, SimulationConfig(replicate_all=True))
     return {
         "benchmark": spec.benchmark,
         "baseline_makespan_s": baseline.makespan_s,
@@ -557,11 +626,7 @@ def _fig5_curve(spec: ExperimentSpec) -> List[ExperimentRow]:
     fault_rate: float = spec.param("fault_rate")
     core_counts: Sequence[int] = spec.param("core_counts")
     seeds = _replica_seeds(spec.seed, spec.param("n_seeds", 1))
-    cache = graph = None
-    if spec.fast:
-        cache = compiled_sim_cache(spec.benchmark, spec.scale)
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
+    cache, graph = _sim_inputs(spec)
     makespans: List[float] = []
     for cores in core_counts:
         machine = shared_memory_node(cores=cores)
@@ -571,7 +636,7 @@ def _fig5_curve(spec: ExperimentSpec) -> List[ExperimentRow]:
             seed=spec.seed,
             collect_records=not spec.fast,
         )
-        makespans.append(_mean(_seed_makespans(cache, graph, machine, config, seeds, spec.fast)))
+        makespans.append(_mean(_seed_makespans(cache, graph, machine, config, seeds)))
     return _speedup_rows(spec.benchmark, fault_rate, list(core_counts), makespans)
 
 
@@ -636,12 +701,8 @@ def _fig6_curve(spec: ExperimentSpec) -> List[ExperimentRow]:
             seed=spec.seed,
             collect_records=not spec.fast,
         )
-        cache = graph = None
-        if spec.fast:
-            cache = compiled_sim_cache(spec.benchmark, spec.scale, n_nodes)
-        else:
-            graph = benchmark_graph(spec.benchmark, spec.scale, n_nodes)
-        makespans.append(_mean(_seed_makespans(cache, graph, machine, config, seeds, spec.fast)))
+        cache, graph = _sim_inputs(spec, n_nodes)
+        makespans.append(_mean(_seed_makespans(cache, graph, machine, config, seeds)))
         core_points.append(n_nodes * cores_per_node)
     return _speedup_rows(spec.benchmark, fault_rate, core_points, makespans)
 
@@ -727,42 +788,6 @@ class AblationPoliciesResult:
         return table.render()
 
 
-def _unprotected_fit_fn(graph, estimator, scaled_spec, use_fast):
-    """A ``replicated_ids -> unprotected FIT`` function (vectorized when fast).
-
-    Shared by the policies ablation and ``repro sweep`` so both price the
-    unprotected remainder identically on either path.
-    """
-    if use_fast:
-        tasks = graph.tasks()
-        fits = estimate_total_fits(estimator, tasks).tolist()
-
-        def unprotected_fit_of(replicated_ids):
-            return sum(
-                fit for task, fit in zip(tasks, fits) if task.task_id not in replicated_ids
-            )
-
-        return unprotected_fit_of
-    return lambda replicated_ids: _unprotected_fit(graph, replicated_ids, scaled_spec)
-
-
-def _unprotected_fit_fn_compiled(compiled: CompiledGraph, estimator):
-    """The compiled-graph twin of :func:`_unprotected_fit_fn` (fast variant).
-
-    Same task order, same per-task FITs, same left-to-right summation — just
-    sourced from the stored id/byte arrays instead of descriptors.
-    """
-    from repro.core.vectorized import compiled_total_fits
-
-    tids = compiled.task_ids.tolist()
-    fits = compiled_total_fits(estimator, compiled).tolist()
-
-    def unprotected_fit_of(replicated_ids):
-        return sum(fit for tid, fit in zip(tids, fits) if tid not in replicated_ids)
-
-    return unprotected_fit_of
-
-
 def _policy_decision(graph, policy_name, threshold, estimator, appfit_dec, seed):
     """(replicated_ids, task_fraction, time_fraction) of one named policy.
 
@@ -799,6 +824,48 @@ def _policy_decision(graph, policy_name, threshold, estimator, appfit_dec, seed)
     return decided.replicated_ids, decided.task_fraction, decided.time_fraction
 
 
+def _select(
+    spec: ExperimentSpec, policies: Sequence[str], simulates: bool = False
+) -> List[Tuple[Set[int], ExperimentRow]]:
+    """One ``(replicated_ids, selection row)`` per policy, in ``policies`` order.
+
+    The row holds the policy's task and time fractions, the FIT it leaves
+    unprotected and whether that meets App_FIT's threshold.  The baselines
+    walk the object graph; App_FIT and the pricing come from :func:`_appfit`.
+    A fast cell that ``simulates`` holds the compiled arrays anyway, so App_FIT
+    prices on them even when the baselines need the object graph.
+    """
+    graph = None
+    if any(p != "app_fit" for p in policies):
+        graph = benchmark_graph(spec.benchmark, spec.scale)
+    appfit = _appfit(
+        spec,
+        None if simulates else graph,
+        # complete/knapsack_oracle never consult the App_FIT decision.
+        decide=any(p in ("app_fit", "top_fit", "random") for p in policies),
+    )
+    threshold = appfit.threshold
+    selections: List[Tuple[Set[int], ExperimentRow]] = []
+    for policy_name in policies:
+        replicated_ids, task_fraction, time_fraction = _policy_decision(
+            graph, policy_name, threshold, appfit.estimator, appfit.decisions, spec.seed
+        )
+        unprotected = appfit.unprotected_fit(replicated_ids)
+        selections.append(
+            (
+                replicated_ids,
+                {
+                    "task_fraction": task_fraction,
+                    "time_fraction": time_fraction,
+                    "unprotected_fit": unprotected,
+                    "threshold": threshold,
+                    "meets_threshold": unprotected <= threshold * (1 + 1e-9),
+                },
+            )
+        )
+    return selections
+
+
 @cell_kind("ablation_policies_cell")
 def _ablation_policies_cell(spec: ExperimentSpec) -> List[ExperimentRow]:
     """All five selection policies on one benchmark (one cached cell).
@@ -807,37 +874,11 @@ def _ablation_policies_cell(spec: ExperimentSpec) -> List[ExperimentRow]:
     budget of the FIT-oblivious baselines) and the per-task FIT estimates, so
     the whole benchmark is one cell rather than five.
     """
-    name = spec.benchmark
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    multiplier: float = spec.param("multiplier")
-    use_fast = spec.fast
-    rows: List[ExperimentRow] = []
-
-    graph = benchmark_graph(name, spec.scale)
-    threshold = _appfit_threshold(graph, rate_spec, fast=use_fast)
-    scaled_spec = rate_spec.scaled(multiplier)
-    estimator = ArgumentSizeEstimator(scaled_spec)
-
-    appfit_dec = _appfit_decisions(graph, threshold, estimator, 0.0, use_fast)
-    unprotected_fit_of = _unprotected_fit_fn(graph, estimator, scaled_spec, use_fast)
-
-    for policy_name in ("app_fit", "knapsack_oracle", "random", "top_fit", "complete"):
-        replicated_ids, task_fraction, time_fraction = _policy_decision(
-            graph, policy_name, threshold, estimator, appfit_dec, spec.seed
-        )
-        unprotected = unprotected_fit_of(replicated_ids)
-        rows.append(
-            {
-                "benchmark": name,
-                "policy": policy_name,
-                "task_fraction": task_fraction,
-                "time_fraction": time_fraction,
-                "unprotected_fit": unprotected,
-                "threshold": threshold,
-                "meets_threshold": unprotected <= threshold * (1 + 1e-9),
-            }
-        )
-    return rows
+    policies = ("app_fit", "knapsack_oracle", "random", "top_fit", "complete")
+    return [
+        {"benchmark": spec.benchmark, "policy": policy_name, **row}
+        for policy_name, (_, row) in zip(policies, _select(spec, policies))
+    ]
 
 
 def ablation_policies(
@@ -897,23 +938,10 @@ class RateSweepResult:
 @cell_kind("rate_sweep_cell")
 def _rate_sweep_cell(spec: ExperimentSpec) -> ExperimentRow:
     """One rate-sweep cell: App_FIT demand at one (multiplier, residual) point."""
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    multiplier: float = spec.param("multiplier")
-    residual: float = spec.param("residual_fit_factor", 0.0)
-    estimator = ArgumentSizeEstimator(rate_spec.scaled(multiplier))
-    if spec.fast:
-        compiled = compiled_sim_cache(spec.benchmark, spec.scale).compiled
-        threshold = _appfit_threshold_compiled(compiled, rate_spec)
-        decisions = decide_for_compiled(
-            compiled, threshold, estimator, residual_fit_factor=residual
-        )
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        threshold = _appfit_threshold(graph, rate_spec, fast=False)
-        decisions = _appfit_decisions(graph, threshold, estimator, residual, False)
+    decisions = _appfit(spec).decisions
     return {
-        "multiplier": multiplier,
-        "residual_fit_factor": residual,
+        "multiplier": spec.param("multiplier"),
+        "residual_fit_factor": spec.param("residual_fit_factor", 0.0),
         "task_fraction": decisions.task_fraction,
         "time_fraction": decisions.time_fraction,
     }
@@ -1006,52 +1034,12 @@ def _policy_cell(spec: ExperimentSpec) -> ExperimentRow:
     budget size — the same framing as the policies ablation.
     """
     policy_name: str = spec.param("policy")
-    multiplier: float = spec.param("multiplier")
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    residual: float = spec.param("residual_fit_factor", 0.0)
-
-    scaled_spec = rate_spec.scaled(multiplier)
-    estimator = ArgumentSizeEstimator(scaled_spec)
-
-    if spec.fast and policy_name == "app_fit":
-        # App_FIT is a pure function of the compiled arrays — no task graph.
-        # The baseline policies walk real descriptors and keep the graph path.
-        compiled = compiled_sim_cache(spec.benchmark, spec.scale).compiled
-        threshold = _appfit_threshold_compiled(compiled, rate_spec)
-        appfit_dec = decide_for_compiled(
-            compiled, threshold, estimator, residual_fit_factor=residual
-        )
-        replicated_ids = appfit_dec.replicated_ids
-        task_fraction = appfit_dec.task_fraction
-        time_fraction = appfit_dec.time_fraction
-        unprotected = _unprotected_fit_fn_compiled(compiled, estimator)(
-            set(replicated_ids)
-        )
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        threshold = _appfit_threshold(graph, rate_spec, fast=spec.fast)
-        # complete/knapsack_oracle never consult the App_FIT decision — skip
-        # the whole-graph sweep for those cells.
-        appfit_dec = (
-            _appfit_decisions(graph, threshold, estimator, residual, spec.fast)
-            if policy_name in ("app_fit", "top_fit", "random")
-            else None
-        )
-        replicated_ids, task_fraction, time_fraction = _policy_decision(
-            graph, policy_name, threshold, estimator, appfit_dec, spec.seed
-        )
-        unprotected = _unprotected_fit_fn(graph, estimator, scaled_spec, spec.fast)(
-            set(replicated_ids)
-        )
+    [(_, row)] = _select(spec, (policy_name,))
     return {
         "benchmark": spec.benchmark,
         "policy": policy_name,
-        "multiplier": multiplier,
-        "task_fraction": task_fraction,
-        "time_fraction": time_fraction,
-        "unprotected_fit": unprotected,
-        "threshold": threshold,
-        "meets_threshold": unprotected <= threshold * (1 + 1e-9),
+        "multiplier": spec.param("multiplier"),
+        **row,
     }
 
 
@@ -1168,102 +1156,29 @@ def _workload_cell(spec: ExperimentSpec) -> ExperimentRow:
     like :func:`_policy_cell`.  Fast and reference rows are bit-identical.
     """
     policy_name: str = spec.param("policy")
-    multiplier: float = spec.param("multiplier")
     fault_rate: float = spec.param("fault_rate", 0.0)
-    rate_spec: FitRateSpec = spec.param("rate_spec") or FitRateSpec()
-    residual: float = spec.param("residual_fit_factor", 0.0)
-    cores: int = spec.param("cores", 16)
+    machine = shared_memory_node(cores=spec.param("cores", 16))
     seeds = _replica_seeds(spec.seed, spec.param("n_seeds", 1))
 
-    scaled_spec = rate_spec.scaled(multiplier)
-    estimator = ArgumentSizeEstimator(scaled_spec)
-    machine = shared_memory_node(cores=cores)
-
-    if spec.fast:
-        cache = compiled_sim_cache(spec.benchmark, spec.scale)
-        compiled = cache.compiled
-        n_tasks = compiled.n
-        threshold = _appfit_threshold_compiled(compiled, rate_spec)
-        if policy_name == "app_fit":
-            appfit_dec = decide_for_compiled(
-                compiled, threshold, estimator, residual_fit_factor=residual
-            )
-            replicated_ids = appfit_dec.replicated_ids
-            task_fraction = appfit_dec.task_fraction
-            time_fraction = appfit_dec.time_fraction
-            unprotected = _unprotected_fit_fn_compiled(compiled, estimator)(
-                set(replicated_ids)
-            )
-        else:
-            graph = benchmark_graph(spec.benchmark, spec.scale)
-            appfit_dec = (
-                _appfit_decisions(graph, threshold, estimator, residual, True)
-                if policy_name in ("top_fit", "random")
-                else None
-            )
-            replicated_ids, task_fraction, time_fraction = _policy_decision(
-                graph, policy_name, threshold, estimator, appfit_dec, spec.seed
-            )
-            unprotected = _unprotected_fit_fn(graph, estimator, scaled_spec, True)(
-                set(replicated_ids)
-            )
-        sim_config = dict(
-            crash_probability=fault_rate, seed=spec.seed, collect_records=False
+    cache, graph = _sim_inputs(spec)
+    [(replicated_ids, row)] = _select(spec, (policy_name,), simulates=True)
+    config = SimulationConfig(
+        crash_probability=fault_rate, seed=spec.seed, collect_records=not spec.fast
+    )
+    baseline_s = _mean(_seed_makespans(cache, graph, machine, config, seeds))
+    selective_s = _mean(
+        _seed_makespans(
+            cache, graph, machine, replace(config, replicated_ids=replicated_ids), seeds
         )
-        baseline_s = _mean(
-            _seed_makespans(cache, None, machine, SimulationConfig(**sim_config), seeds, True)
-        )
-        selective_s = _mean(
-            _seed_makespans(
-                cache,
-                None,
-                machine,
-                SimulationConfig(replicated_ids=set(replicated_ids), **sim_config),
-                seeds,
-                True,
-            )
-        )
-    else:
-        graph = benchmark_graph(spec.benchmark, spec.scale)
-        n_tasks = len(graph)
-        threshold = _appfit_threshold(graph, rate_spec, fast=False)
-        appfit_dec = (
-            _appfit_decisions(graph, threshold, estimator, residual, False)
-            if policy_name in ("app_fit", "top_fit", "random")
-            else None
-        )
-        replicated_ids, task_fraction, time_fraction = _policy_decision(
-            graph, policy_name, threshold, estimator, appfit_dec, spec.seed
-        )
-        unprotected = _unprotected_fit_fn(graph, estimator, scaled_spec, False)(
-            set(replicated_ids)
-        )
-        sim_config = dict(crash_probability=fault_rate, seed=spec.seed)
-        baseline_s = _mean(
-            _seed_makespans(None, graph, machine, SimulationConfig(**sim_config), seeds, False)
-        )
-        selective_s = _mean(
-            _seed_makespans(
-                None,
-                graph,
-                machine,
-                SimulationConfig(replicated_ids=set(replicated_ids), **sim_config),
-                seeds,
-                False,
-            )
-        )
+    )
     overhead = (selective_s - baseline_s) / baseline_s if baseline_s > 0 else 0.0
     return {
         "workload": spec.benchmark,
         "policy": policy_name,
-        "multiplier": multiplier,
+        "multiplier": spec.param("multiplier"),
         "fault_rate": fault_rate,
-        "n_tasks": n_tasks,
-        "task_fraction": task_fraction,
-        "time_fraction": time_fraction,
-        "unprotected_fit": unprotected,
-        "threshold": threshold,
-        "meets_threshold": unprotected <= threshold * (1 + 1e-9),
+        "n_tasks": cache.n if cache is not None else len(graph),
+        **row,
         "baseline_makespan_s": baseline_s,
         "selective_makespan_s": selective_s,
         "overhead_percent": 100.0 * overhead,

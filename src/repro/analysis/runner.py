@@ -135,22 +135,6 @@ def graph_cache_root() -> str:
     return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
 
 
-#: Environment switch for direct spec→CompiledGraph generation of workloads
-#: (``repro.workloads.direct``).  On by default: the direct path is pinned
-#: byte-identical to lowering an object graph, so cache keys *and* cache
-#: contents are unchanged — the switch exists to fall back to the object
-#: path when diagnosing a suspected generator divergence.
-DIRECT_GEN_ENV = "REPRO_DIRECT_GEN"
-
-
-def direct_gen_enabled() -> bool:
-    """Whether workload graphs are emitted directly to compiled arrays."""
-    env = os.environ.get(DIRECT_GEN_ENV)
-    if env is not None:
-        return env.strip().lower() not in ("0", "false", "no", "")
-    return True
-
-
 def default_fast() -> bool:
     """Whether drivers use the vectorized fast path by default."""
     if _DEFAULTS["fast"] is not None:
@@ -233,7 +217,6 @@ def make_spec(
 
 _BENCH_CACHE: Dict[Tuple[str, float, Optional[int]], Benchmark] = {}
 _GRAPHS: Dict[Tuple[str, float, Optional[int]], TaskGraph] = {}
-_SIM_CACHES: Dict[int, SimGraphCache] = {}
 _COMPILED_CACHE: Dict[Tuple[str, float, Optional[int]], SimGraphCache] = {}
 
 
@@ -299,15 +282,6 @@ def _build_frozen(bench: Benchmark) -> TaskGraph:
     return graph
 
 
-def sim_cache(graph: TaskGraph) -> SimGraphCache:
-    """The memoised :class:`SimGraphCache` of a graph (keyed by identity)."""
-    cache = _SIM_CACHES.get(id(graph))
-    if cache is None:
-        cache = SimGraphCache(graph)
-        _SIM_CACHES[id(graph)] = cache
-    return cache
-
-
 def compiled_sim_cache(
     name: str, scale: float, n_nodes: Optional[int] = None
 ) -> SimGraphCache:
@@ -368,8 +342,7 @@ def compiled_sim_cache(
         ):
             cache = SimGraphCache.from_compiled(generate_compiled(direct_spec, scale))
     else:
-        graph = benchmark_graph(name, scale, n_nodes)
-        cache = sim_cache(graph)
+        cache = SimGraphCache(benchmark_graph(name, scale, n_nodes))
     _COMPILED_CACHE[key] = cache
     return cache
 
@@ -379,10 +352,9 @@ def _direct_workload_spec(name: str, n_nodes: Optional[int]) -> Optional[Any]:
 
     Direct emission covers workload benchmarks at their registry placement
     (``n_nodes is None`` — workload tasks carry no explicit node attribute, so
-    distributed re-placements still go through the object path) and honours
-    the ``REPRO_DIRECT_GEN`` kill switch.
+    distributed re-placements still go through the object path).
     """
-    if n_nodes is not None or not direct_gen_enabled():
+    if n_nodes is not None:
         return None
     from repro.workloads import is_workload_name, parse_workload
 
@@ -413,7 +385,6 @@ def clear_caches() -> None:
     """
     _BENCH_CACHE.clear()
     _GRAPHS.clear()
-    _SIM_CACHES.clear()
     _COMPILED_CACHE.clear()
     gc.unfreeze()
 

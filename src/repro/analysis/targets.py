@@ -30,10 +30,13 @@ from repro.analysis.experiments import (
     figure4_overheads,
     figure5_scalability_shared,
     figure6_scalability_distributed,
+    sweep_policies,
     table1_benchmark_inventory,
+    workload_sweep,
 )
 from repro.analysis.report import PAPER_REFERENCE
 from repro.analysis.runner import ExperimentEngine
+from repro.analysis.store import code_version
 
 #: Scale floor for the Figure 5 curves: scalability needs enough parallelism
 #: in the graph, so this figure never runs below half the Table I sizes (the
@@ -330,3 +333,82 @@ def resolve_targets(names: Sequence[str]) -> List[Target]:
         if target not in targets:
             targets.append(target)
     return targets
+
+
+# ---------------------------------------------------------------------------------
+# request execution (the CLI, the service's drain and compose share this)
+# ---------------------------------------------------------------------------------
+
+
+def execute_request(
+    request: Dict[str, Any], engine: ExperimentEngine
+) -> Tuple[TargetOutput, Dict[str, Any]]:
+    """Run a normalized request on an engine; return (output, artifact meta).
+
+    This is the *only* place requests are turned into cell grids — ``repro
+    run`` and ``repro sweep`` build a request and call it, service workers
+    drain through it with a lease-aware engine, and the artifact endpoint
+    re-runs it with a read-only engine over the warm store (zero computed
+    cells by construction) — so there is no separately maintained grid
+    enumeration or artifact metadata to drift out of sync.
+
+    ``meta`` carries only deterministic provenance, never timestamps or job
+    ids, so artifacts are byte-identical across submissions and workers.
+    """
+    meta: Dict[str, Any] = {
+        "scale": request["scale"],
+        "seed": request["seed"],
+        "n_seeds": request["n_seeds"],
+        "fast": engine.fast,
+        "code_version": code_version(),
+    }
+    if request["type"] == "target":
+        target = TARGETS[request["target"]]
+        output = target.build(
+            request["scale"], request["seed"], engine, n_seeds=request["n_seeds"]
+        )
+        return output, {**meta, "target": target.name, **output.meta}
+
+    if request["type"] == "workload_sweep":
+        result = workload_sweep(
+            workloads=request["workloads"],
+            policies=request["policies"],
+            multipliers=request["multipliers"],
+            fault_rates=request["fault_rates"],
+            scale=request["scale"],
+            seed=request["seed"],
+            n_seeds=request["n_seeds"],
+            residual_fit_factor=request["residual_fit_factor"],
+            engine=engine,
+        )
+        output = TargetOutput(
+            result=result,
+            text=workload_sweep_recorded_text(result),
+            rows=list(result.rows),
+        )
+        return output, {
+            **meta,
+            "target": "workload-sweep",
+            "workloads": sorted({str(r["workload"]) for r in result.rows}),
+            "policies": list(request["policies"]),
+            "multipliers": list(request["multipliers"]),
+            "fault_rates": list(request["fault_rates"]),
+        }
+
+    result = sweep_policies(
+        benchmarks=request["benchmarks"],
+        policies=request["policies"],
+        multipliers=request["multipliers"],
+        scale=request["scale"],
+        seed=request["seed"],
+        residual_fit_factor=request["residual_fit_factor"],
+        engine=engine,
+    )
+    output = TargetOutput(result=result, text=result.render(), rows=list(result.rows))
+    return output, {
+        **meta,
+        "target": "sweep",
+        "benchmarks": list(request["benchmarks"]),
+        "policies": list(request["policies"]),
+        "multipliers": list(request["multipliers"]),
+    }

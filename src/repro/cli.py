@@ -48,14 +48,13 @@ from repro.analysis.runner import (
     configure_graph_cache,
     env_graph_cache_enabled,
 )
-from repro.analysis.store import ResultStore, code_version
+from repro.analysis.store import ResultStore
 from repro.analysis.targets import (
     TARGETS,
-    Target,
     TargetOutput,
+    execute_request,
     render_artifact_texts,
     resolve_targets,
-    workload_sweep_recorded_text,
 )
 from repro.obs.maintenance import obs_clear, obs_gc, obs_stats
 from repro.obs.trace import configure_trace_root
@@ -605,6 +604,23 @@ def _make_engine(args: argparse.Namespace, strict: bool = False) -> ExperimentEn
     )
 
 
+def _request(
+    args: argparse.Namespace, engine: ExperimentEngine, **fields: Any
+) -> Dict[str, Any]:
+    """The service request an invocation stands for (see ``execute_request``).
+
+    Running it through the same executor as ``repro serve`` makes the CLI's
+    artifacts byte-identical to the served ones, metadata included.
+    """
+    return {
+        "scale": args.scale,
+        "seed": args.seed,
+        "n_seeds": args.n_seeds,
+        "fast": engine.fast,
+        **fields,
+    }
+
+
 def _run_targets(args: argparse.Namespace, strict: bool = False) -> int:
     """`repro run` / `repro report`: build targets, write artifacts."""
     if strict and (args.no_cache or args.force):
@@ -618,32 +634,21 @@ def _run_targets(args: argparse.Namespace, strict: bool = False) -> int:
         print(f"repro: {exc.args[0]}", file=sys.stderr)
         return 2
     engine = _make_engine(args, strict=strict)
-    meta_base = {
-        "scale": args.scale,
-        "seed": args.seed,
-        "n_seeds": args.n_seeds,
-        "fast": engine.fast,
-        "code_version": code_version(),
-    }
     for target in targets:
         t0 = time.perf_counter()
         # Deltas of the cumulative counters: a target may issue several
         # engine.map calls (e.g. ablation-rates runs one grid per benchmark),
         # and last_stats would only reflect the final one.
         computed0, cached0 = engine.cells_computed, engine.cells_cached
+        request = _request(args, engine, type="target", target=target.name)
         try:
-            output = target.build(args.scale, args.seed, engine, n_seeds=args.n_seeds)
+            output, meta = execute_request(request, engine)
         except MissingRecordError as exc:
             print(f"repro: {target.name}: {exc}", file=sys.stderr)
             return 1
         computed = engine.cells_computed - computed0
         cached = engine.cells_cached - cached0
-        paths = _write_artifacts(
-            args.out,
-            target.artifact,
-            output,
-            {**meta_base, "target": target.name, **output.meta},
-        )
+        paths = _write_artifacts(args.out, target.artifact, output, meta)
         if not args.quiet:
             print(
                 f"{target.name}: {computed + cached} cells "
@@ -655,46 +660,30 @@ def _run_targets(args: argparse.Namespace, strict: bool = False) -> int:
 
 def _run_workload_sweep(args: argparse.Namespace) -> int:
     """`repro sweep --workload`: policies x rates x fault rates on workloads."""
-    from repro.analysis.experiments import workload_sweep
-
     engine = _make_engine(args)
     t0 = time.perf_counter()
     computed0, cached0 = engine.cells_computed, engine.cells_cached
+    request = _request(
+        args,
+        engine,
+        type="workload_sweep",
+        workloads=list(args.workload),
+        policies=list(args.policies),
+        multipliers=list(args.multipliers),
+        fault_rates=list(args.fault_rates),
+        residual_fit_factor=args.residual_fit_factor,
+    )
     try:
-        result = workload_sweep(
-            workloads=args.workload,
-            policies=args.policies,
-            multipliers=args.multipliers,
-            fault_rates=args.fault_rates,
-            scale=args.scale,
-            seed=args.seed,
-            n_seeds=args.n_seeds,
-            residual_fit_factor=args.residual_fit_factor,
-            engine=engine,
-        )
+        output, meta = execute_request(request, engine)
     except (KeyError, ValueError) as exc:
         print(f"repro: {exc.args[0]}", file=sys.stderr)
         return 2
     computed = engine.cells_computed - computed0
     cached = engine.cells_cached - cached0
-    text = workload_sweep_recorded_text(result)
-    output = TargetOutput(result=result, text=text, rows=list(result.rows))
-    meta = {
-        "target": "workload-sweep",
-        "workloads": sorted({str(r["workload"]) for r in result.rows}),
-        "policies": list(args.policies),
-        "multipliers": list(args.multipliers),
-        "fault_rates": list(args.fault_rates),
-        "scale": args.scale,
-        "seed": args.seed,
-        "n_seeds": args.n_seeds,
-        "fast": engine.fast,
-        "code_version": code_version(),
-    }
     name = args.name if args.name != "sweep" else "workload_sweep"
     paths = _write_artifacts(args.out, name, output, meta)
     if not args.quiet:
-        print(text)
+        print(output.text)
         print(
             f"\nworkload sweep: {computed + cached} cells ({computed} computed, "
             f"{cached} cached) in {time.perf_counter() - t0:.2f} s -> {paths[0]}"
@@ -704,7 +693,6 @@ def _run_workload_sweep(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     """`repro sweep`: an arbitrary benchmark x policy x multiplier grid."""
-    from repro.analysis.experiments import sweep_policies
     from repro.apps.registry import all_benchmark_names
 
     if args.workload:
@@ -715,36 +703,25 @@ def _run_sweep(args: argparse.Namespace) -> int:
             )
             return 2
         return _run_workload_sweep(args)
-    benchmarks = args.benchmarks or all_benchmark_names()
     engine = _make_engine(args)
     t0 = time.perf_counter()
     computed0, cached0 = engine.cells_computed, engine.cells_cached
+    request = _request(
+        args,
+        engine,
+        type="sweep",
+        benchmarks=list(args.benchmarks or all_benchmark_names()),
+        policies=list(args.policies),
+        multipliers=list(args.multipliers),
+        residual_fit_factor=args.residual_fit_factor,
+    )
     try:
-        result = sweep_policies(
-            benchmarks=benchmarks,
-            policies=args.policies,
-            multipliers=args.multipliers,
-            scale=args.scale,
-            seed=args.seed,
-            residual_fit_factor=args.residual_fit_factor,
-            engine=engine,
-        )
+        output, meta = execute_request(request, engine)
     except KeyError as exc:
         print(f"repro: {exc.args[0]}", file=sys.stderr)
         return 2
     computed = engine.cells_computed - computed0
     cached = engine.cells_cached - cached0
-    output = TargetOutput(result=result, text=result.render(), rows=list(result.rows))
-    meta = {
-        "target": "sweep",
-        "benchmarks": list(benchmarks),
-        "policies": list(args.policies),
-        "multipliers": list(args.multipliers),
-        "scale": args.scale,
-        "seed": args.seed,
-        "fast": engine.fast,
-        "code_version": code_version(),
-    }
     paths = _write_artifacts(args.out, args.name, output, meta)
     if not args.quiet:
         print(output.text)

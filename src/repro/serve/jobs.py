@@ -34,12 +34,11 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.runner import ExperimentEngine, ExperimentSpec
-from repro.analysis.store import ResultStore, StoreRecord, code_version
+from repro.analysis.store import ResultStore, StoreRecord
 from repro.analysis.targets import (
     TARGETS,
-    TargetOutput,
+    execute_request,
     render_artifact_texts,
-    workload_sweep_recorded_text,
 )
 from repro.util.retry import RetryPolicy, retry_call
 
@@ -217,85 +216,8 @@ def artifact_stem(request: Dict[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------------
-# request execution (drain and compose share this)
+# artifact composition
 # ---------------------------------------------------------------------------------
-
-
-def execute_request(
-    request: Dict[str, Any], engine: ExperimentEngine
-) -> Tuple[TargetOutput, Dict[str, Any]]:
-    """Run a normalized request on an engine; return (output, artifact meta).
-
-    This is the *only* place requests are turned into cell grids — workers
-    drain through it with a lease-aware engine, and the artifact endpoint
-    re-runs it with a read-only engine over the warm store (zero computed
-    cells by construction) — so there is no separately maintained grid
-    enumeration to drift out of sync with the experiment drivers.
-
-    ``meta`` carries only deterministic provenance, never timestamps or job
-    ids, so artifacts are byte-identical across submissions and workers.
-    """
-    meta: Dict[str, Any] = {
-        "scale": request["scale"],
-        "seed": request["seed"],
-        "n_seeds": request["n_seeds"],
-        "fast": engine.fast,
-        "code_version": code_version(),
-    }
-    if request["type"] == "target":
-        target = TARGETS[request["target"]]
-        output = target.build(
-            request["scale"], request["seed"], engine, n_seeds=request["n_seeds"]
-        )
-        return output, {**meta, "target": target.name, **output.meta}
-
-    if request["type"] == "workload_sweep":
-        from repro.analysis.experiments import workload_sweep
-
-        result = workload_sweep(
-            workloads=request["workloads"],
-            policies=request["policies"],
-            multipliers=request["multipliers"],
-            fault_rates=request["fault_rates"],
-            scale=request["scale"],
-            seed=request["seed"],
-            n_seeds=request["n_seeds"],
-            residual_fit_factor=request["residual_fit_factor"],
-            engine=engine,
-        )
-        output = TargetOutput(
-            result=result,
-            text=workload_sweep_recorded_text(result),
-            rows=list(result.rows),
-        )
-        return output, {
-            **meta,
-            "target": "workload-sweep",
-            "workloads": sorted({str(r["workload"]) for r in result.rows}),
-            "policies": list(request["policies"]),
-            "multipliers": list(request["multipliers"]),
-            "fault_rates": list(request["fault_rates"]),
-        }
-
-    from repro.analysis.experiments import sweep_policies
-
-    result = sweep_policies(
-        benchmarks=request["benchmarks"],
-        policies=request["policies"],
-        multipliers=request["multipliers"],
-        scale=request["scale"],
-        seed=request["seed"],
-        residual_fit_factor=request["residual_fit_factor"],
-        engine=engine,
-    )
-    output = TargetOutput(result=result, text=result.render(), rows=list(result.rows))
-    return output, {
-        **meta,
-        "target": "sweep",
-        "benchmarks": list(request["benchmarks"]),
-        "policies": list(request["policies"]),
-        "multipliers": list(request["multipliers"]),
-    }
 
 
 def compose_artifacts(

@@ -26,12 +26,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.runner import ExperimentEngine, ExperimentSpec, run_cell
 from repro.analysis.store import ResultStore, cell_attempt_budget, lease_ttl_seconds
+from repro.analysis.targets import execute_request
 from repro.obs.metrics import inc as metrics_inc
 from repro.obs.metrics import observe as metrics_observe
 from repro.obs.metrics import write_snapshot
 from repro.obs.trace import trace_span
 from repro.serve.chaos import ChaosInjectedCellError, WorkerKilled, active_chaos
-from repro.serve.jobs import WORKERS_SUBDIR, JobStore, execute_request
+from repro.serve.jobs import WORKERS_SUBDIR, JobStore
 from repro.serve.leases import LeaseHeartbeat, LeaseStore, default_owner_id
 from repro.util.retry import RetryPolicy, retry_call
 

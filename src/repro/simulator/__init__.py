@@ -20,8 +20,7 @@ loop (the oracle, over a ``TaskGraph``), and the fast path
 compiled-graph arrays) runs one of two *backends* selected via
 ``$REPRO_SIM_BACKEND`` (see :mod:`repro.simulator.backend`): a
 self-compiled C kernel, or a single pure-Python event loop that replays in
-bounded memory at any graph size.  :func:`~repro.simulator.fastpath.simulate`
-dispatches between the reference and the fast path, and
+bounded memory at any graph size.
 :func:`~repro.simulator.fastpath.simulate_compiled_batch` replays a whole
 batch of fault seeds over shared replay arrays in one kernel invocation.
 """
@@ -37,10 +36,8 @@ from repro.simulator.execution import (
 )
 from repro.simulator.fastpath import (
     SimGraphCache,
-    simulate,
     simulate_compiled,
     simulate_compiled_batch,
-    simulate_graph_fast,
 )
 
 __all__ = [
@@ -53,9 +50,7 @@ __all__ = [
     "SimulationResult",
     "marenostrum_cluster",
     "shared_memory_node",
-    "simulate",
     "simulate_compiled",
     "simulate_compiled_batch",
     "simulate_graph",
-    "simulate_graph_fast",
 ]

@@ -58,7 +58,6 @@ from repro.simulator.execution import (
     SimulatedTaskRecord,
     SimulationConfig,
     SimulationResult,
-    simulate_graph,
 )
 from repro.simulator.machine import MachineSpec
 
@@ -800,32 +799,3 @@ def _simulate_python(
         (total_work, total_overhead, total_recovery, crashes, sdcs, replicated_count),
         record_arrays,
     )
-
-
-def simulate_graph_fast(
-    graph: TaskGraph,
-    machine: MachineSpec,
-    config: Optional[SimulationConfig] = None,
-    cache: Optional[SimGraphCache] = None,
-) -> SimulationResult:
-    """Drop-in replacement for :func:`simulate_graph`, bit-identical results.
-
-    Pass a :class:`SimGraphCache` to amortise the per-graph precomputation
-    across fault rates and machine sizes (the experiment engine does).
-    """
-    if cache is None:
-        cache = SimGraphCache(graph)
-    return simulate_compiled(cache, machine, config)
-
-
-def simulate(
-    graph: TaskGraph,
-    machine: MachineSpec,
-    config: Optional[SimulationConfig] = None,
-    fast: bool = True,
-    cache: Optional[SimGraphCache] = None,
-) -> SimulationResult:
-    """Dispatch to the fast path (default) or the scalar reference loop."""
-    if fast:
-        return simulate_graph_fast(graph, machine, config, cache=cache)
-    return simulate_graph(graph, machine, config)

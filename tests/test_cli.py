@@ -323,6 +323,36 @@ def test_workload_sweep_bad_spec_is_a_usage_error(dirs, capsys):
     assert "unknown workload family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, doc, stem",
+    [
+        (["run", "fig3"], {"target": "fig3"}, "fig3_appfit"),
+        (
+            ["sweep", "--benchmarks", "cholesky", "--policies", "app_fit", "top_fit"],
+            {"benchmarks": ["cholesky"], "policies": ["app_fit", "top_fit"]},
+            "sweep",
+        ),
+        (
+            ["sweep", "--workload", "layered:depth=4,width=3,seed=3",
+             "--policies", "app_fit", "complete"],
+            {"workloads": ["layered:depth=4,width=3,seed=3"], "policies": ["app_fit", "complete"]},
+            "workload_sweep",
+        ),
+    ],
+    ids=["target", "benchmarks-sweep", "workload-sweep"],
+)
+def test_cli_artifacts_are_byte_identical_to_served_ones(dirs, capsys, argv, doc, stem):
+    """The CLI and ``repro serve`` compose the same request into the same bytes."""
+    from repro.serve.jobs import compose_artifacts, normalize_request
+
+    out, cache = dirs
+    assert run_cli(*argv, "--scale", SCALE, "--out", out, "--cache-dir", cache) == 0
+    served = compose_artifacts(normalize_request({**doc, "scale": float(SCALE)}), cache)
+    for fmt, content in served.items():
+        with open(os.path.join(out, f"{stem}.{fmt}"), encoding="utf-8", newline="") as fh:
+            assert fh.read() == content, f"{stem}.{fmt}"
+
+
 def test_workloads_ls_describe(capsys):
     assert run_cli("workloads", "ls") == 0
     ls_out = capsys.readouterr().out

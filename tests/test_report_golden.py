@@ -4,7 +4,8 @@ The benchmark harness writes its artifacts at ``REPRO_BENCH_SCALE`` (default
 0.2) through the same recorded-text composers in
 :mod:`repro.analysis.targets` the CLI uses, so ``repro run``/``repro report``
 at scale 0.2 must reproduce the committed ``benchmarks/results/*.txt`` files
-byte-for-byte.  This pins that equality for the cheap targets (the
+byte-for-byte, on the fast path and on the scalar reference path
+(``--reference``).  This pins that equality for the cheap targets (the
 simulation-heavy fig4/fig5/fig6 are covered by the nightly benchmark run,
 which itself goes through the shared composers).
 
@@ -42,17 +43,22 @@ def _fresh_memo():
 
 
 @pytest.mark.slow
-def test_report_reproduces_committed_goldens(tmp_path):
+@pytest.mark.parametrize("mode", [[], ["--reference"]], ids=["fast", "reference"])
+def test_report_reproduces_committed_goldens(tmp_path, mode):
     """run (cold) then report --strict (warm): both match the goldens exactly."""
     out = str(tmp_path / "out")
     cache = str(tmp_path / "cache")
     names = [t for t, _ in CHEAP_TARGETS]
-    assert main(["run", *names, "--scale", GOLDEN_SCALE, "--out", out, "--cache-dir", cache, "-q"]) == 0
+    assert (
+        main(["run", *names, *mode, "--scale", GOLDEN_SCALE, "--out", out,
+              "--cache-dir", cache, "-q"])
+        == 0
+    )
 
     rep = str(tmp_path / "report")
     assert (
         main(
-            ["report", *names, "--scale", GOLDEN_SCALE, "--out", rep,
+            ["report", *names, *mode, "--scale", GOLDEN_SCALE, "--out", rep,
              "--cache-dir", cache, "--strict", "-q"]
         )
         == 0

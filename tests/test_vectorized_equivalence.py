@@ -4,8 +4,11 @@ The fast implementations (batch FIT estimation, the vectorized App_FIT sweep
 and the array-based simulator loop) are designed to mirror the scalar
 reference arithmetic operation for operation, so everything here asserts
 *exact* float equality — any drift means the two implementations diverged.
-Figure-level summaries are additionally checked through the public drivers,
-which exercises the experiment engine's fast/reference duality end to end.
+Figure-level summaries and every policy cell (Figure 3, the policies
+ablation, ``repro sweep``) are additionally checked through the public
+drivers, which exercises the experiment engine's fast/reference duality end
+to end: each spelling the drivers price App_FIT with (compiled arrays,
+vectorized descriptors, the scalar ``AppFit``) must yield the same rows.
 """
 
 import time
@@ -16,10 +19,14 @@ import pytest
 from repro.analysis.experiments import (
     _appfit_threshold,
     _appfit_threshold_compiled,
+    _appfit_threshold_vectorized,
+    SWEEP_POLICIES,
     _distributed_benchmark,
+    ablation_policies,
     figure3_appfit,
     figure4_overheads,
     figure5_scalability_shared,
+    sweep_policies,
 )
 from repro.apps import create_benchmark
 from repro.apps.registry import all_benchmark_names, distributed_benchmark_names
@@ -41,7 +48,6 @@ from repro.simulator.fastpath import (
     _simulate_python,
     simulate_compiled,
     simulate_compiled_batch,
-    simulate_graph_fast,
 )
 from repro.simulator.machine import marenostrum_cluster, shared_memory_node
 from repro.workloads import WorkloadBenchmark, family_names, parse_workload
@@ -81,8 +87,8 @@ class TestBatchEstimation:
     def test_threshold_same_on_both_paths(self, graphs):
         spec = FitRateSpec()
         for name, graph in graphs.items():
-            assert _appfit_threshold(graph, spec, fast=True) == _appfit_threshold(
-                graph, spec, fast=False
+            assert _appfit_threshold_vectorized(graph, spec) == _appfit_threshold(
+                graph, spec
             ), name
 
 
@@ -115,7 +121,7 @@ class TestSimulatorEquivalence:
 
     def _compare(self, graph, machine, config, cache):
         ref = simulate_graph(graph, machine, config)
-        _assert_results_identical(simulate_graph_fast(graph, machine, config, cache=cache), ref)
+        _assert_results_identical(simulate_compiled(cache, machine, config), ref)
         for backend in _available_backends():
             fast = simulate_compiled(cache, machine, config, backend=backend)
             _assert_results_identical(fast, ref)
@@ -187,11 +193,11 @@ class TestCompiledEquivalence:
         spec = FitRateSpec()
         for name, graph in graphs.items():
             compiled = compile_graph(graph)
-            assert _appfit_threshold_compiled(compiled, spec) == _appfit_threshold(
-                graph, spec, fast=True
+            assert _appfit_threshold_compiled(compiled, spec) == _appfit_threshold_vectorized(
+                graph, spec
             ), name
             assert _appfit_threshold_compiled(compiled, spec) == _appfit_threshold(
-                graph, spec, fast=False
+                graph, spec
             ), name
 
     def test_compiled_fits_match_batch_estimation(self, graphs):
@@ -257,6 +263,27 @@ class TestDriverEquivalence:
         )
         fast = figure5_scalability_shared(fast=True, **kwargs)
         ref = figure5_scalability_shared(fast=False, **kwargs)
+        assert fast.rows == ref.rows
+
+    def test_ablation_policies_rows(self):
+        kwargs = dict(scale=SCALE, benchmarks=("cholesky", "stream", "linpack"), parallelism=1)
+        fast = ablation_policies(fast=True, **kwargs)
+        ref = ablation_policies(fast=False, **kwargs)
+        assert len(fast.rows) == 3 * 5
+        assert fast.rows == ref.rows
+
+    def test_sweep_policies_rows(self):
+        kwargs = dict(
+            benchmarks=("cholesky", "stream"),
+            policies=SWEEP_POLICIES,
+            multipliers=(10.0, 5.0),
+            scale=SCALE,
+            residual_fit_factor=0.1,
+            parallelism=1,
+        )
+        fast = sweep_policies(fast=True, **kwargs)
+        ref = sweep_policies(fast=False, **kwargs)
+        assert len(fast.rows) == 2 * len(SWEEP_POLICIES) * 2
         assert fast.rows == ref.rows
 
 
