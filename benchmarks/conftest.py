@@ -6,8 +6,11 @@ i.e. a few thousand to a few tens of thousands of tasks per benchmark);
 ``REPRO_BENCH_SCALE=1.0`` reproduces the full Table I configurations and takes
 on the order of an hour.
 
-Each module prints the regenerated table (visible with ``pytest -s``) and also
-writes it to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can quote it.
+Each module prints the regenerated table (visible with ``pytest -s``) and,
+at the golden scale, checks it against the committed
+``benchmarks/results/<name>.txt``.  The harness never writes a tracked file:
+``repro run all --scale 0.2 --out benchmarks/results`` is the one way to
+regenerate the goldens.
 """
 
 import os
@@ -21,10 +24,13 @@ if _SRC not in sys.path:
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
+#: The scale the committed goldens were rendered at.
+GOLDEN_SCALE = 0.2
+
 
 def bench_scale() -> float:
     """The benchmark problem scale (1.0 = Table I sizes)."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "0.2"))
+    return float(os.environ.get("REPRO_BENCH_SCALE", str(GOLDEN_SCALE)))
 
 
 @pytest.fixture(scope="session")
@@ -35,15 +41,20 @@ def scale() -> float:
 
 @pytest.fixture(scope="session")
 def results_dir() -> str:
-    """Directory the rendered tables are written to."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+    """Directory holding the committed golden tables."""
     return RESULTS_DIR
 
 
-def record(results_dir: str, name: str, text: str) -> None:
-    """Print a rendered table and persist it under benchmarks/results/."""
+def record(results_dir: str, name: str, text: str, scaled: bool = True) -> None:
+    """Print a rendered table and check it against its committed golden.
+
+    A ``scaled`` table depends on the problem scale, so it is checked only at
+    :data:`GOLDEN_SCALE`; a scale-independent one is checked at any scale.
+    """
     print()
     print(text)
-    path = os.path.join(results_dir, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    if scaled and bench_scale() != GOLDEN_SCALE:
+        return
+    with open(os.path.join(results_dir, f"{name}.txt"), encoding="utf-8") as fh:
+        golden = fh.read()
+    assert text + "\n" == golden, f"{name} drifted from benchmarks/results/{name}.txt"

@@ -116,4 +116,5 @@ def test_biggraph_generate_and_simulate_bounded_rss(results_dir):
                 f"  sim RSS delta ceiling : {SIM_DELTA_CEILING_MIB:.0f} MiB",
             ]
         ),
+        scaled=False,
     )

@@ -7,7 +7,7 @@ dependencies); an installed copy takes precedence if present.
 Also provides the suite-wide test conveniences:
 
 * ``--reference`` — run every experiment driver on the scalar reference path,
-  serially (equivalent to ``REPRO_REFERENCE=1 REPRO_PARALLELISM=1``);
+  serially (``configure_defaults(fast=False, parallelism=1)``);
 * the ``quick``/``slow`` markers — everything outside ``benchmarks/`` is
   auto-marked ``quick`` so ``pytest -m quick`` is a sub-30-second smoke run;
 * hypothesis profiles — the default ``repro`` profile caps examples at 30,

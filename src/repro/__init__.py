@@ -36,9 +36,8 @@ The package provides:
   summarize/Chrome-trace-export tooling — all strictly observation-only.
 
 Configuration environment variables (``REPRO_PARALLELISM``,
-``REPRO_REFERENCE``, ``REPRO_BENCH_SCALE``, ``REPRO_CACHE_DIR``,
-``REPRO_CODE_VERSION``) are documented in one place: the Configuration
-section of the top-level README.
+``REPRO_BENCH_SCALE``, ``REPRO_CACHE_DIR``, ``REPRO_CODE_VERSION``, ...) are
+documented in one place: the Configuration section of the top-level README.
 
 Quickstart::
 

@@ -21,7 +21,6 @@ registry the ``repro`` CLI (:mod:`repro.cli`) exposes.
 from repro.analysis.runner import (
     CellProgress,
     ExperimentEngine,
-    ExperimentResult,
     ExperimentSpec,
     configure_defaults,
     derive_seed,
@@ -63,7 +62,6 @@ __all__ = [
     "AggregateReplication",
     "CellProgress",
     "ExperimentEngine",
-    "ExperimentResult",
     "ExperimentRow",
     "ExperimentSpec",
     "Figure3Result",

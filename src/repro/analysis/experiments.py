@@ -14,8 +14,8 @@ by an :class:`~repro.analysis.runner.ExperimentEngine`:
 * ``parallelism`` fans the grid out over worker processes (default: one per
   CPU, or ``REPRO_PARALLELISM``);
 * ``fast`` selects the vectorized fault-evaluation fast path (default on;
-  the scalar implementations remain the reference — pass ``fast=False``, set
-  ``REPRO_REFERENCE=1``, or use the benchmark harness's ``--reference`` flag);
+  the scalar implementations remain the reference — pass ``fast=False`` or
+  use the CLI's or the benchmark harness's ``--reference`` flag);
 * generated task graphs are memoised per process keyed by
   (benchmark, scale, node count), so a graph is built once per run instead of
   once per policy x rate cell.

@@ -23,9 +23,8 @@ Key properties:
   the vectorized fault-evaluation fast path
   (:mod:`repro.core.vectorized`, :mod:`repro.simulator.fastpath`);
   ``fast=False`` runs the scalar reference implementations.  The benchmark
-  harness exposes this as the ``--reference`` escape hatch and the
-  ``REPRO_REFERENCE=1`` environment variable; ``REPRO_PARALLELISM`` overrides
-  the default worker count.
+  harness and the CLI expose this as the ``--reference`` escape hatch;
+  ``REPRO_PARALLELISM`` overrides the default worker count.
 * **Cell-level caching** — because a cell is a pure function of its spec, an
   engine given a :class:`~repro.analysis.store.ResultStore` consults it
   before dispatching: cached cells are returned without computation (and
@@ -43,7 +42,7 @@ import gc
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import create_benchmark
@@ -51,13 +50,7 @@ from repro.apps.base import Benchmark
 from repro.obs.metrics import inc as metrics_inc
 from repro.obs.metrics import observe as metrics_observe
 from repro.obs.trace import active_tracer, configure_trace_root, trace_span
-from repro.runtime.compiled import (
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    GRAPH_CACHE_ENV,
-    CompiledGraphStore,
-    compile_graph,
-)
+from repro.runtime.compiled import CompiledGraphStore, cache_root, compile_graph
 from repro.runtime.graph import TaskGraph
 from repro.simulator.fastpath import SimGraphCache
 
@@ -70,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
 
 _DEFAULTS: Dict[str, Any] = {"fast": None, "parallelism": None}
 
-_GRAPH_CACHE: Dict[str, Any] = {"enabled": None, "root": None}
+_GRAPH_CACHE: Dict[str, Any] = {"enabled": False, "root": None}
 
 
 def configure_defaults(
@@ -86,60 +79,33 @@ def configure_defaults(
     _DEFAULTS["parallelism"] = parallelism
 
 
-def configure_graph_cache(
-    enabled: Optional[bool] = None, root: Optional[str] = None
-) -> None:
+def configure_graph_cache(enabled: bool = False, root: Optional[str] = None) -> None:
     """Set the process-wide on-disk compiled-graph cache configuration.
 
-    ``enabled=None`` defers to the ``REPRO_GRAPH_CACHE`` environment variable
-    (and the caller-supplied fallback of :func:`graph_cache_enabled`); the CLI
-    turns the cache on explicitly and ``--no-graph-cache`` turns it off.  The
-    in-process compiled memo is dropped on reconfiguration so graphs never
-    leak across cache roots.
+    The CLI and ``repro serve`` turn the cache on; plain library calls leave
+    it off, so tests and ad-hoc driver use leave no cache directories behind.
+    The in-process compiled memo is dropped on reconfiguration so graphs
+    never leak across cache roots.
     """
-    _GRAPH_CACHE["enabled"] = enabled
+    _GRAPH_CACHE["enabled"] = bool(enabled)
     _GRAPH_CACHE["root"] = root
     _COMPILED_CACHE.clear()
 
 
-def env_graph_cache_enabled(fallback: bool) -> bool:
-    """Resolve ``REPRO_GRAPH_CACHE`` alone (no process-wide pin consulted).
-
-    ``fallback`` applies when the variable is unset — ``False`` for plain
-    library calls (tests and ad-hoc driver use leave no cache directories
-    behind), ``True`` for the CLI, which shares compiled graphs across
-    processes and invocations by default.
-    """
-    env = os.environ.get(GRAPH_CACHE_ENV)
-    if env is not None:
-        return env.strip().lower() not in ("0", "false", "no", "")
-    return fallback
-
-
-def graph_cache_enabled(fallback: bool = False) -> bool:
-    """Whether compiled graphs are persisted to (and loaded from) disk.
-
-    Precedence: :func:`configure_graph_cache`, then ``REPRO_GRAPH_CACHE``,
-    then ``fallback``.
-    """
-    if _GRAPH_CACHE["enabled"] is not None:
-        return bool(_GRAPH_CACHE["enabled"])
-    return env_graph_cache_enabled(fallback)
+def graph_cache_enabled() -> bool:
+    """Whether compiled graphs are persisted to (and loaded from) disk."""
+    return _GRAPH_CACHE["enabled"]
 
 
 def graph_cache_root() -> str:
     """Cache root the compiled-graph store lives under (shared with results)."""
-    root = _GRAPH_CACHE["root"]
-    if root:
-        return str(root)
-    return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+    return cache_root(_GRAPH_CACHE["root"])
 
 
 def default_fast() -> bool:
     """Whether drivers use the vectorized fast path by default."""
-    if _DEFAULTS["fast"] is not None:
-        return bool(_DEFAULTS["fast"])
-    return os.environ.get("REPRO_REFERENCE", "") not in ("1", "true", "yes")
+    fast = _DEFAULTS["fast"]
+    return True if fast is None else bool(fast)
 
 
 def default_parallelism() -> int:
@@ -593,16 +559,3 @@ class ExperimentEngine:
         """Deliver one progress event to the callback, if any."""
         if self.progress is not None:
             self.progress(event)
-
-    def run_grid(self, specs: Sequence[ExperimentSpec]) -> List["ExperimentResult"]:
-        """Like :meth:`map`, but pairs every payload with its spec."""
-        payloads = self.map(specs)
-        return [ExperimentResult(spec=s, payload=p) for s, p in zip(specs, payloads)]
-
-
-@dataclass
-class ExperimentResult:
-    """One executed cell: the spec that produced it plus its payload."""
-
-    spec: ExperimentSpec
-    payload: Any = field(default=None)

@@ -36,6 +36,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
@@ -43,11 +44,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.analysis.runner import ExperimentSpec
 
 # Shared with the compiled-graph store: one cache root, one version scheme.
-from repro.runtime.compiled import (  # noqa: F401  (re-exported public API)
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    code_version,
-)
+from repro.runtime.compiled import cache_root, code_version
 
 #: Bump when the record layout changes (distinct from the code version, which
 #: tracks the *semantics* of cell functions).
@@ -60,6 +57,9 @@ RECORD_FORMAT: int = 1
 #: Only ``stats``/``gc``/``clear`` know about them, and only to count them
 #: separately (and to reap the expired ones).
 LEASE_SUFFIX: str = ".lease"
+
+#: Record shard directory names: the first two hex digits of the key.
+_SHARD_NAME = re.compile(r"[0-9a-f]{2}")
 
 #: Environment override for the lease time-to-live (seconds).
 LEASE_TTL_ENV: str = "REPRO_LEASE_TTL_S"
@@ -199,9 +199,7 @@ class ResultStore:
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-        self.root = os.path.abspath(root)
+        self.root = os.path.abspath(cache_root(root))
 
     # -- paths ----------------------------------------------------------------
 
@@ -458,19 +456,23 @@ class ResultStore:
             if record is not None:
                 yield record
 
+    def _shard_dirs(self) -> List[str]:
+        """The record shard directories (``<root>/<key[:2]>``), sorted.
+
+        Only two-hex-digit names are shards: ``obs/``, ``serve/`` and
+        ``compiled/`` share the cache root but hold no records, so scanning
+        them would quarantine their JSON files as corrupt records.
+        """
+        try:
+            names = sorted(os.listdir(self.root))
+        except OSError:
+            return []
+        shards = [os.path.join(self.root, n) for n in names if _SHARD_NAME.fullmatch(n)]
+        return [path for path in shards if os.path.isdir(path)]
+
     def _record_paths(self) -> List[str]:
         """Every record file currently on disk, in stable (sharded) order."""
-        paths: List[str] = []
-        if not os.path.isdir(self.root):
-            return paths
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    paths.append(os.path.join(shard_dir, name))
-        return paths
+        return self._suffix_paths(lambda name: name.endswith(".json"))
 
     def _lease_paths(self) -> List[str]:
         """Every lease file currently on disk, in stable (sharded) order."""
@@ -479,12 +481,7 @@ class ResultStore:
     def _suffix_paths(self, match) -> List[str]:
         """Shard-ordered paths of every file whose name satisfies ``match``."""
         paths: List[str] = []
-        if not os.path.isdir(self.root):
-            return paths
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
+        for shard_dir in self._shard_dirs():
             for name in sorted(os.listdir(shard_dir)):
                 if match(name):
                     paths.append(os.path.join(shard_dir, name))
@@ -642,10 +639,7 @@ class ResultStore:
                     workers_stale += 1
             except OSError:
                 continue
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
+        for shard_dir in self._shard_dirs():
             for name in sorted(os.listdir(shard_dir)):
                 path = os.path.join(shard_dir, name)
                 if ".reclaim." in name:
@@ -727,12 +721,10 @@ class ResultStore:
             lambda n: ATTEMPT_INFIX in n or n.endswith(POISON_SUFFIX)
         ):
             self._quarantine(path)
-        if os.path.isdir(self.root):
-            for shard in os.listdir(self.root):
-                shard_dir = os.path.join(self.root, shard)
-                if os.path.isdir(shard_dir) and not os.listdir(shard_dir):
-                    try:
-                        os.rmdir(shard_dir)
-                    except OSError:
-                        pass
+        for shard_dir in self._shard_dirs():
+            if not os.listdir(shard_dir):
+                try:
+                    os.rmdir(shard_dir)
+                except OSError:
+                    pass
         return removed

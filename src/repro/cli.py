@@ -18,12 +18,11 @@ One entry point replaces the per-example argparse copies::
 Installed as a ``repro`` console script by ``setup.py`` and also runnable as
 ``python -m repro``.  Every run/sweep/report invocation shares the same knobs:
 ``--scale``, ``--seed``, ``--parallelism`` (or ``REPRO_PARALLELISM``),
-``--reference`` (scalar reference path, serial; or ``REPRO_REFERENCE=1``),
-``--out`` (artifact directory), ``--cache-dir`` (or ``REPRO_CACHE_DIR``),
-``--force`` (recompute cached cells), ``--no-cache``, and
-``--no-graph-cache`` (rebuild task graphs in-process instead of sharing
-compiled graphs through the on-disk store; see
-:mod:`repro.runtime.compiled`).
+``--reference`` (scalar reference path, serial), ``--out`` (artifact
+directory), ``--cache-dir`` (or ``REPRO_CACHE_DIR``), ``--force`` (recompute
+cached cells) and ``--no-cache``.  Compiled task graphs are always shared
+through the on-disk store under the cache root; see
+:mod:`repro.runtime.compiled`.
 
 Artifacts: each target writes ``<artifact>.txt`` (byte-identical to the
 benchmark harness's ``benchmarks/results/*.txt`` files), ``<artifact>.json``
@@ -42,12 +41,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.runner import (
-    CellProgress,
-    ExperimentEngine,
-    configure_graph_cache,
-    env_graph_cache_enabled,
-)
+from repro.analysis.runner import CellProgress, ExperimentEngine, configure_graph_cache
 from repro.analysis.store import ResultStore
 from repro.analysis.targets import (
     TARGETS,
@@ -58,7 +52,7 @@ from repro.analysis.targets import (
 )
 from repro.obs.maintenance import obs_clear, obs_gc, obs_stats
 from repro.obs.trace import configure_trace_root
-from repro.runtime.compiled import CompiledGraphStore, workload_max_age_seconds
+from repro.runtime.compiled import DEFAULT_WORKLOAD_MAX_AGE_S, CompiledGraphStore
 from repro.util.units import format_bytes
 
 #: Default artifact directory.  Deliberately NOT ``benchmarks/results`` — the
@@ -121,7 +115,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--reference",
         action="store_true",
         help="run the scalar reference path serially instead of the vectorized "
-        "fast path (equivalent to REPRO_REFERENCE=1 REPRO_PARALLELISM=1)",
+        "fast path",
     )
     parser.add_argument(
         "--out",
@@ -144,12 +138,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="bypass the results store entirely (no reads, no writes)",
-    )
-    parser.add_argument(
-        "--no-graph-cache",
-        action="store_true",
-        help="rebuild task graphs in-process instead of sharing compiled "
-        "graphs through the on-disk cache (or set REPRO_GRAPH_CACHE=0)",
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress progress/summary output"
@@ -282,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--workload-max-age",
         type=float,
-        default=None,
+        default=DEFAULT_WORKLOAD_MAX_AGE_S,
         metavar="SECONDS",
-        help="gc only: age limit for compiled workload graphs (default: "
-        "REPRO_WORKLOAD_MAX_AGE_S or one week; <= 0 keeps them all)",
+        help="gc only: age limit for compiled workload graphs (default: one "
+        "week; <= 0 keeps them all)",
     )
 
     workloads = sub.add_parser(
@@ -386,15 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="crash-loop cap per embedded worker slot "
-        "(default: REPRO_WORKER_RESTARTS or 5)",
+        help="crash-loop cap per embedded worker slot (default 5)",
     )
     serve.add_argument("--cache-dir", default=None, metavar="DIR")
-    serve.add_argument(
-        "--no-graph-cache",
-        action="store_true",
-        help="rebuild task graphs in-process instead of sharing compiled graphs",
-    )
 
     submit = sub.add_parser(
         "submit",
@@ -569,17 +551,9 @@ def _make_engine(args: argparse.Namespace, strict: bool = False) -> ExperimentEn
         if strict:
             store = _StrictStore(store)
 
-    # The CLI shares compiled graphs through the on-disk store by default
-    # (REPRO_GRAPH_CACHE=0 or --no-graph-cache opt out); plain library calls
-    # stay in-memory unless configured otherwise.
-    configure_graph_cache(
-        enabled=(
-            False
-            if getattr(args, "no_graph_cache", False)
-            else env_graph_cache_enabled(True)
-        ),
-        root=args.cache_dir,
-    )
+    # The CLI shares compiled graphs through the on-disk store; plain library
+    # calls stay in-memory unless configured otherwise.
+    configure_graph_cache(enabled=True, root=args.cache_dir)
     # Span sites without a store in hand (graph loads, simulator dispatch)
     # resolve their tracer against the same root the engine caches under.
     configure_trace_root(args.cache_dir)
@@ -896,8 +870,6 @@ def _run_cache(args: argparse.Namespace) -> int:
         return 0
     if args.action == "gc":
         max_age = args.workload_max_age
-        if max_age is None:
-            max_age = workload_max_age_seconds()
         removed = store.gc()
         gremoved = graphs.gc(workload_max_age_s=max_age if max_age > 0 else None)
         print(
@@ -1045,10 +1017,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import ReproServer
     from repro.serve.workers import SweepWorker
 
-    configure_graph_cache(
-        enabled=(False if args.no_graph_cache else env_graph_cache_enabled(True)),
-        root=args.cache_dir,
-    )
+    configure_graph_cache(enabled=True, root=args.cache_dir)
     configure_trace_root(args.cache_dir)
     if args.worker:
         # A worker *process* takes chaos kills as a genuine SIGKILL —

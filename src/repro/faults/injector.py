@@ -24,7 +24,6 @@ equally scheduling-independent.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -34,24 +33,6 @@ from repro.faults.model import FailureModel
 from repro.runtime.task import TaskDescriptor
 from repro.util.rng import FAULT_LANE_CORRUPTION, RngStream, fault_stream
 from repro.util.validation import check_non_negative, check_probability
-
-#: Environment variable that sets the default fault-stream root seed when a
-#: :class:`FaultInjector` is constructed without an explicit seed or stream.
-FAULT_SEED_ENV = "REPRO_FAULT_SEED"
-
-
-def default_root_seed() -> int:
-    """The fault-stream root seed from ``REPRO_FAULT_SEED`` (default ``0``)."""
-    raw = os.environ.get(FAULT_SEED_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{FAULT_SEED_ENV} must be an integer, got {raw!r}"
-        ) from exc
-
 
 @dataclass
 class InjectionConfig:
@@ -102,13 +83,14 @@ class FaultPlan:
 class FaultInjector:
     """Draws fault events for task executions from keyed per-execution streams.
 
-    ``root_seed`` selects the whole family of per-execution streams.  For
-    backwards compatibility a sequential ``rng`` stream may be passed instead;
-    only its seed material is used (:meth:`~repro.util.rng.RngStream.derived_seed`,
-    the plain integer seed for directly-constructed streams) — the stream
-    itself is never consumed, so two injectors built from equal seeds agree
-    draw for draw regardless of what else either one has already drawn, and
-    injectors built from distinct forked child streams stay independent.
+    ``root_seed`` (default ``0``) selects the whole family of per-execution
+    streams.  For backwards compatibility a sequential ``rng`` stream may be
+    passed instead; only its seed material is used
+    (:meth:`~repro.util.rng.RngStream.derived_seed`, the plain integer seed
+    for directly-constructed streams) — the stream itself is never consumed,
+    so two injectors built from equal seeds agree draw for draw regardless of
+    what else either one has already drawn, and injectors built from distinct
+    forked child streams stay independent.
     """
 
     def __init__(
@@ -122,10 +104,7 @@ class FaultInjector:
         self.model = model if model is not None else FailureModel()
         self.config = config if config is not None else InjectionConfig()
         if root_seed is None:
-            if rng is not None:
-                root_seed = rng.derived_seed()
-            else:
-                root_seed = default_root_seed()
+            root_seed = rng.derived_seed() if rng is not None else 0
         self.root_seed = int(root_seed)
         self.plan = plan
         self.injected: List[FaultEvent] = []

@@ -12,7 +12,7 @@ knob enabled, goldens, store keys, and serve artifacts stay byte-identical:
 * :mod:`repro.obs.metrics` — a process-local registry of counters, gauges,
   and fixed-bucket histograms, exported as Prometheus text by the serve
   frontend's ``GET /metrics`` and merged cross-worker from per-worker
-  snapshot files (``REPRO_METRICS=off`` disables the exposition).
+  snapshot files.
 * :mod:`repro.obs.report` — the ``repro trace summarize|export`` machinery:
   per-site latency percentiles, a slowest-cells table, and a Chrome
   trace-event (Perfetto-loadable) export with worker rows and retry/chaos

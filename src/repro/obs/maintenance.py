@@ -2,7 +2,7 @@
 
 The tracing journal and the per-worker metrics snapshots are append-only
 observability artifacts under ``<cache root>/obs/``.  Rotation (see
-:data:`repro.obs.trace.TRACE_MAX_BYTES_ENV`) caps the *live* journal, but the
+:data:`repro.obs.trace.TRACE_MAX_BYTES`) caps the *live* journal, but the
 rotated segments and the snapshots of long-dead workers still accumulate —
 this module gives ``repro cache stats|gc|clear`` the same authority over
 ``obs/`` that the result and compiled-graph stores already have over theirs.

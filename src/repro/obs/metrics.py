@@ -2,9 +2,7 @@
 
 Counters, gauges, and fixed-bucket histograms — the three instrument shapes a
 sweep deployment needs — kept in plain dicts guarded by one lock, so an
-increment is a hash lookup plus an add (cheap enough to leave on always;
-``REPRO_METRICS=off`` disables only the *exposition*: the ``GET /metrics``
-endpoint and the per-worker snapshot files, never the in-process counting).
+increment is a hash lookup plus an add (cheap enough to leave on always).
 
 The registry absorbs the counters that previously lived as scattered
 attributes (engine cache hits, lease reclaims, drain retries, quarantines,
@@ -30,9 +28,6 @@ import os
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-#: Environment variable gating the /metrics exposition and snapshot files.
-METRICS_ENV = "REPRO_METRICS"
 
 #: Where worker snapshots live, under the cache root.
 METRICS_SUBDIR = os.path.join("obs", "metrics")
@@ -61,13 +56,6 @@ HELP: Dict[str, str] = {
     "repro_cell_compute_seconds": "Wall time of individual cell computations.",
     "repro_uptime_seconds": "Seconds since this process's server started.",
 }
-
-
-def metrics_enabled() -> bool:
-    """Whether the /metrics exposition and snapshot files are on (default yes)."""
-    return os.environ.get(METRICS_ENV, "").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
 
 
 class Counter:
@@ -355,12 +343,10 @@ def snapshot_path(root: str, owner: str) -> str:
 def write_snapshot(root: str, owner: str) -> None:
     """Atomically publish this process's registry for cross-worker merging.
 
-    Best-effort and gated on ``REPRO_METRICS``: a worker that cannot write
-    its snapshot still computes cells; only the merged scrape goes blind to
-    it (exactly like a liveness file).
+    Best-effort: a worker that cannot write its snapshot still computes
+    cells; only the merged scrape goes blind to it (exactly like a liveness
+    file).
     """
-    if not metrics_enabled():
-        return
     path = snapshot_path(root, owner)
     doc = {
         "owner": owner,

@@ -42,7 +42,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runtime.compiled import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
+from repro.runtime.compiled import cache_root
 
 #: Environment variable selecting the trace mode (unset/empty = off).
 TRACE_ENV = "REPRO_TRACE"
@@ -54,33 +54,17 @@ TRACE_MODES = ("off", "light", "full")
 OBS_SUBDIR = "obs"
 TRACE_LOG_NAME = "trace.jsonl"
 
-#: Environment variable capping the live trace journal size (bytes).  When an
-#: append would push ``trace.jsonl`` past the cap, the journal is atomically
-#: renamed to a ``trace-<ns>-<pid>.jsonl`` segment and a fresh journal starts.
-#: ``repro cache gc`` sweeps rotated segments; ``<= 0`` disables rotation.
-TRACE_MAX_BYTES_ENV = "REPRO_TRACE_MAX_BYTES"
-
-#: Default journal cap: large enough that a full nightly sweep fits in one
-#: segment, small enough that a forgotten ``REPRO_TRACE=full`` service loop
-#: cannot fill a disk before gc runs.
-DEFAULT_TRACE_MAX_BYTES = 64 * 1024 * 1024
+#: Size cap of the live trace journal (bytes).  When an append would push
+#: ``trace.jsonl`` past the cap, the journal is atomically renamed to a
+#: ``trace-<ns>-<pid>.jsonl`` segment and a fresh journal starts; ``repro
+#: cache gc`` sweeps rotated segments.  Large enough that a full nightly sweep
+#: fits in one segment, small enough that a forgotten ``REPRO_TRACE=full``
+#: service loop cannot fill a disk before gc runs.
+TRACE_MAX_BYTES = 64 * 1024 * 1024
 
 #: Rotated segments are ``trace-<ns>-<pid>.jsonl`` (the prefix the obs
 #: maintenance sweep matches; the live journal never matches it).
 ROTATED_TRACE_PREFIX = "trace-"
-
-
-def trace_max_bytes() -> int:
-    """The journal rotation cap (``$REPRO_TRACE_MAX_BYTES``; ``<= 0`` = off)."""
-    raw = os.environ.get(TRACE_MAX_BYTES_ENV, "").strip()
-    if not raw:
-        return DEFAULT_TRACE_MAX_BYTES
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{TRACE_MAX_BYTES_ENV}={raw!r} is not an integer byte count"
-        ) from None
 
 #: Sites recorded in ``light`` mode — the coarse cell lifecycle only.  Every
 #: other site (claim/put bookkeeping, graph loads, simulator dispatch, HTTP)
@@ -305,14 +289,11 @@ class Tracer:
         from ``os.replace`` and is swallowed by :meth:`_append`'s handler:
         the other process already moved the file.
         """
-        cap = trace_max_bytes()
-        if cap <= 0:
-            return
         try:
             size = os.path.getsize(self.path)
         except OSError:
             return  # no journal yet — nothing to rotate
-        if size <= 0 or size + incoming <= cap:
+        if size <= 0 or size + incoming <= TRACE_MAX_BYTES:
             return
         rotated = os.path.join(
             os.path.dirname(self.path),
@@ -369,8 +350,7 @@ def active_tracer(root: Optional[str] = None) -> Optional[Tracer]:
     mode = trace_mode()
     if mode == "off":
         return None
-    if root is None:
-        root = _DEFAULT_ROOT["root"] or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+    root = cache_root(root or _DEFAULT_ROOT["root"])
     cache_key = (mode, os.path.abspath(root))
     with _tracers_lock:
         tracer = _tracers.get(cache_key)

@@ -46,10 +46,6 @@ from repro.runtime.task import TaskDescriptor
 #: Bump when the compiled array layout changes (hashed into every store key).
 COMPILED_FORMAT: int = 1
 
-#: Environment variable toggling the on-disk compiled-graph cache
-#: ("0"/"false"/"no" disable it; the CLI enables it by default).
-GRAPH_CACHE_ENV: str = "REPRO_GRAPH_CACHE"
-
 #: Environment variable overriding the default cache root (shared with the
 #: results store).
 CACHE_DIR_ENV: str = "REPRO_CACHE_DIR"
@@ -57,29 +53,18 @@ CACHE_DIR_ENV: str = "REPRO_CACHE_DIR"
 #: Default cache root, relative to the current working directory.
 DEFAULT_CACHE_DIR: str = ".repro_cache"
 
-#: Environment variable overriding the workload-entry age limit ``repro cache
-#: gc`` applies (seconds; see :meth:`CompiledGraphStore.gc`).
-WORKLOAD_MAX_AGE_ENV: str = "REPRO_WORKLOAD_MAX_AGE_S"
-
 #: Default age limit for compiled *workload* graphs during CLI gc: one week.
 #: The workload spec space is unbounded (every parameter combination is a new
 #: entry), so unlike the nine Table I graphs these must eventually age out.
 DEFAULT_WORKLOAD_MAX_AGE_S: float = 7 * 24 * 3600.0
 
 
-def workload_max_age_seconds() -> float:
-    """The workload-entry age limit the CLI's ``cache gc`` applies.
+def cache_root(root: Optional[str] = None) -> str:
+    """The cache root: ``root``, else ``$REPRO_CACHE_DIR``, else ``.repro_cache``.
 
-    ``REPRO_WORKLOAD_MAX_AGE_S`` overrides the one-week default; a
-    non-positive value disables aging entirely (entries are kept forever).
+    The one resolution every store, the tracer and the chaos plan share.
     """
-    env = os.environ.get(WORKLOAD_MAX_AGE_ENV)
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return DEFAULT_WORKLOAD_MAX_AGE_S
+    return str(root or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
 def is_workload_benchmark_name(name: str) -> bool:
@@ -482,9 +467,7 @@ class CompiledGraphStore:
     SUBDIR = "compiled"
 
     def __init__(self, root: Optional[str] = None) -> None:
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-        self.root = os.path.join(os.path.abspath(root), self.SUBDIR)
+        self.root = os.path.join(os.path.abspath(cache_root(root)), self.SUBDIR)
 
     # -- paths ----------------------------------------------------------------
 
@@ -712,8 +695,8 @@ class CompiledGraphStore:
         graphs older than the limit (counted as ``aged``): the synthetic-spec
         space is unbounded, so one-off sweeps would otherwise accumulate
         orphaned entries forever.  ``None`` (the library default) disables
-        aging; the CLI passes :data:`DEFAULT_WORKLOAD_MAX_AGE_S` or the
-        ``REPRO_WORKLOAD_MAX_AGE_S`` override.  Table I entries never age.
+        aging; the CLI passes ``--workload-max-age`` (default
+        :data:`DEFAULT_WORKLOAD_MAX_AGE_S`).  Table I entries never age.
 
         The summary's ``skipped`` counts paths that should have been removed
         but could not be (permissions, a directory squatting on an entry

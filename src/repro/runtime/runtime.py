@@ -20,8 +20,8 @@ to the machine simulator instead of being executed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -152,18 +152,6 @@ class TaskRuntime:
         if self.config.record_submissions:
             self.events.record(EventKind.TASK_SUBMITTED, task_id=task.task_id)
         return task
-
-    def submit_task(self, task: TaskDescriptor) -> TaskDescriptor:
-        """Add a pre-built descriptor (dependencies still inferred from its regions)."""
-        deps = self._deps.register(task)
-        self._graph.add_task(task, deps)
-        if self.config.record_submissions:
-            self.events.record(EventKind.TASK_SUBMITTED, task_id=task.task_id)
-        return task
-
-    def next_task_id(self) -> int:
-        """Allocate a fresh task id (for callers building descriptors directly)."""
-        return next(self._ids)
 
     # -- execution ------------------------------------------------------------
 

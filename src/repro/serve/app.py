@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.analysis.store import ResultStore, lease_ttl_seconds
-from repro.obs.metrics import PROM_CONTENT_TYPE, metrics_enabled, render_merged
+from repro.obs.metrics import PROM_CONTENT_TYPE, render_merged
 from repro.obs.metrics import inc as metrics_inc
 from repro.obs.trace import active_tracer, trace_mode, trace_span
 from repro.serve.chaos import active_chaos
@@ -202,9 +202,6 @@ class _Handler(BaseHTTPRequestHandler):
         if parts == ["metrics"]:
             # Prometheus convention: the scrape endpoint lives at the root,
             # outside the JSON API namespace.
-            if not metrics_enabled():
-                self._error(404, "metrics exposition disabled (REPRO_METRICS=off)")
-                return
             body = self.server.metrics_text().encode("utf-8")
             self._send(200, body, PROM_CONTENT_TYPE)
             return

@@ -55,7 +55,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runtime.compiled import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
+from repro.runtime.compiled import cache_root
 
 #: Environment variable selecting the chaos profile (unset/empty = no chaos).
 CHAOS_ENV = "REPRO_CHAOS"
@@ -355,8 +355,7 @@ def active_chaos(root: Optional[str] = None) -> Optional[ChaosEngine]:
     profile = parse_chaos(text)
     if not profile.active:
         return None
-    if root is None:
-        root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+    root = cache_root(root)
     cache_key = (profile.canonical, os.path.abspath(root))
     with _engines_lock:
         engine = _engines.get(cache_key)

@@ -49,7 +49,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from repro.analysis.store import ResultStore, lease_ttl_seconds
 from repro.obs.metrics import inc as metrics_inc
@@ -381,10 +381,3 @@ class LeaseHeartbeat:
             if was_stalled and not self.leases.renew(key):
                 with self._lock:
                     self.lost.add(key)
-
-
-def scan_leases(root: Optional[str] = None) -> Dict[str, int]:
-    """Count live and expired leases under a cache root (for stats endpoints)."""
-    store = ResultStore(root)
-    stats = store.stats()
-    return {"live": stats["leases_live"], "expired": stats["leases_expired"]}

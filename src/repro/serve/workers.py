@@ -39,9 +39,6 @@ from repro.util.retry import RetryPolicy, retry_call
 #: How often a worker republishes its liveness file (seconds).
 LIVENESS_INTERVAL_S: float = 2.0
 
-#: Environment override for the per-worker-slot restart budget.
-RESTARTS_ENV: str = "REPRO_WORKER_RESTARTS"
-
 #: Default crash-loop cap: a worker slot is restarted at most this many times.
 DEFAULT_MAX_RESTARTS: int = 5
 
@@ -566,19 +563,6 @@ class SweepWorker:
                 self._liveness = None
 
 
-def max_worker_restarts() -> int:
-    """Per-slot restart budget: ``REPRO_WORKER_RESTARTS`` or the default of 5."""
-    env = os.environ.get(RESTARTS_ENV)
-    if env:
-        try:
-            cap = int(env)
-            if cap >= 0:
-                return cap
-        except ValueError:
-            pass
-    return DEFAULT_MAX_RESTARTS
-
-
 class WorkerSupervisor:
     """Run N worker threads and restart the ones that die.
 
@@ -586,9 +570,9 @@ class WorkerSupervisor:
     with an exception — a chaos :class:`WorkerKilled`, or a genuine bug — is
     replaced with a **fresh** worker (new owner identity, new lease store)
     after an exponential backoff, up to a per-slot crash-loop cap
-    (``REPRO_WORKER_RESTARTS``); a slot over its cap is abandoned and counted
-    in ``crash_looped`` so ``/health`` shows the degradation instead of the
-    service silently running under-strength.  A thread that *returns* is
+    (``max_restarts``, default :data:`DEFAULT_MAX_RESTARTS`); a slot over its
+    cap is abandoned and counted in ``crash_looped`` so ``/health`` shows the
+    degradation instead of the service silently running under-strength.  A thread that *returns* is
     simply finished (idle-exit), never restarted.
     """
 
@@ -607,7 +591,7 @@ class WorkerSupervisor:
         self.ttl_s = ttl_s
         self.poll_s = float(poll_s)
         self.max_restarts = (
-            int(max_restarts) if max_restarts is not None else max_worker_restarts()
+            DEFAULT_MAX_RESTARTS if max_restarts is None else int(max_restarts)
         )
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)

@@ -285,12 +285,6 @@ def backend_status() -> Dict[str, str]:
     return status
 
 
-def reset_backends() -> None:
-    """Forget memoised backends/failures (tests that change the environment)."""
-    _instances.clear()
-    _failures.clear()
-
-
 def kernel_error(rc: int) -> str:
     """Human-readable message of a nonzero kernel status code."""
     return _ERRORS.get(rc, f"unknown kernel error {rc}")

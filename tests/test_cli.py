@@ -22,6 +22,7 @@ import sys
 import pytest
 
 from repro.analysis.runner import clear_caches
+from repro.analysis.store import ResultStore
 from repro.cli import main
 
 SCALE = "0.05"
@@ -98,18 +99,12 @@ def test_force_flag_recomputes(dirs, capsys):
 
 def test_no_cache_flag_never_reads_or_writes_records(dirs, capsys):
     out, cache = dirs
-    # --no-cache bypasses the results store; --no-graph-cache additionally
-    # keeps compiled graphs out of the cache root, so nothing is created.
-    run_cli(
-        "run", "table1", "--scale", SCALE, "--out", out, "--cache-dir", cache,
-        "--no-cache", "--no-graph-cache",
-    )
-    assert not os.path.exists(cache)
+    # --no-cache bypasses the results store: no record is written, so a
+    # second run computes every cell again.
+    run_cli("run", "table1", "--scale", SCALE, "--out", out, "--cache-dir", cache, "--no-cache")
+    assert list(ResultStore(cache).records()) == []
     capsys.readouterr()
-    run_cli(
-        "run", "table1", "--scale", SCALE, "--out", out, "--cache-dir", cache,
-        "--no-cache", "--no-graph-cache",
-    )
+    run_cli("run", "table1", "--scale", SCALE, "--out", out, "--cache-dir", cache, "--no-cache")
     assert "(9 computed, 0 cached)" in capsys.readouterr().out
 
 

@@ -48,10 +48,10 @@ def graphs():
 @pytest.fixture(autouse=True)
 def _isolated_graph_cache():
     """Never let these tests touch a real cache root."""
-    configure_graph_cache(enabled=None, root=None)
+    configure_graph_cache()
     clear_caches()
     yield
-    configure_graph_cache(enabled=None, root=None)
+    configure_graph_cache()
     clear_caches()
 
 

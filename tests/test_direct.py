@@ -61,10 +61,10 @@ EQUALITY_SPECS = (
 @pytest.fixture(autouse=True)
 def _isolated_caches():
     """Direct-path tests must not touch a real cache root or leak memos."""
-    configure_graph_cache(enabled=None, root=None)
+    configure_graph_cache()
     clear_caches()
     yield
-    configure_graph_cache(enabled=None, root=None)
+    configure_graph_cache()
     clear_caches()
 
 

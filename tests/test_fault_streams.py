@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults.errors import ErrorClass
-from repro.faults.injector import FaultInjector, InjectionConfig, default_root_seed
+from repro.faults.injector import FaultInjector, InjectionConfig
 from repro.util.rng import FAULT_LANE_CORRUPTION, fault_key, fault_stream
 from tests.conftest import make_task
 
@@ -191,15 +191,11 @@ class TestConcurrentBookkeeping:
 
 
 class TestRootSeedEnvironment:
-    def test_env_var_sets_default_root_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_SEED", "98765")
-        assert default_root_seed() == 98765
-        assert FaultInjector().root_seed == 98765
+    """The root seed comes only from the constructor; the environment is not read."""
 
-    def test_env_var_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_SEED", "not-an-int")
-        with pytest.raises(ValueError):
-            default_root_seed()
+    def test_env_var_ignored_default_is_zero(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SEED", "98765")
+        assert FaultInjector().root_seed == 0
 
     def test_explicit_seed_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SEED", "98765")

@@ -61,7 +61,6 @@ SWEEP_REQUEST = {
 def _fresh_state(monkeypatch):
     """Isolate each test: untraced by default, fresh metrics registry."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_METRICS", raising=False)
     clear_caches()
     reset_registry()
     yield
@@ -400,6 +399,27 @@ def test_traced_fig5_run_is_byte_identical_and_fully_covered(tmp_path, monkeypat
     assert isinstance(doc["traceEvents"], list) and doc["traceEvents"]
 
 
+def test_cache_maintenance_keeps_the_trace_export(tmp_path, monkeypatch, capsys):
+    """`repro cache ls|stats|gc` scan record shards only, never ``obs/``.
+
+    The default export lands in ``<cache>/obs/trace_chrome.json``; a store
+    that mistook ``obs/`` for a record shard deleted it as a corrupt record.
+    """
+    cache = str(tmp_path / "cache")
+    monkeypatch.setenv("REPRO_TRACE", "light")
+    assert run_cli("run", "table1", "--scale", SCALE, "--out", str(tmp_path / "out"),
+                   "--cache-dir", cache) == 0
+    assert run_cli("trace", "export", "--cache-dir", cache) == 0
+    export_path = os.path.join(cache, "obs", "trace_chrome.json")
+    assert os.path.isfile(export_path)
+
+    for action in ("ls", "stats", "gc"):
+        capsys.readouterr()
+        assert run_cli("cache", action, "--cache-dir", cache) == 0
+        assert os.path.isfile(export_path), f"`cache {action}` deleted the export"
+    assert ", 0 corrupt," in capsys.readouterr().out
+
+
 def test_trace_summarize_empty_root_is_an_error(tmp_path, capsys):
     assert run_cli("trace", "summarize", "--cache-dir", str(tmp_path)) == 1
     assert "no trace" in capsys.readouterr().out.lower()
@@ -490,31 +510,16 @@ def test_serve_drain_traced_metrics_and_span_chains(tmp_path, monkeypatch):
         assert claim and claim[0]["t"] <= cell["t"]
 
 
-def test_metrics_endpoint_404_when_disabled(tmp_path, monkeypatch):
-    """REPRO_METRICS=off hides the exposition (collection stays on)."""
-    monkeypatch.setenv("REPRO_METRICS", "off")
-    server = ReproServer(root=str(tmp_path), host="127.0.0.1",
-                         port=0, workers=0).start()
-    try:
-        code, _, raw = _get(f"{server.url}/metrics")
-        assert code == 404
-        assert b"REPRO_METRICS" in raw
-    finally:
-        server.stop()
-
-
 # ---------------------------------------------------------------------------------
 # trace journal rotation + obs maintenance (ISSUE-10 satellite)
 # ---------------------------------------------------------------------------------
 
 
 def test_trace_journal_rotates_at_size_cap(tmp_path, monkeypatch):
-    """Appends past REPRO_TRACE_MAX_BYTES rename the journal to a segment."""
+    """Appends past TRACE_MAX_BYTES rename the journal to a segment."""
     from repro.obs.maintenance import obs_stats, rotated_trace_segments
-    from repro.obs.trace import trace_max_bytes
 
-    monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "600")
-    assert trace_max_bytes() == 600
+    monkeypatch.setattr("repro.obs.trace.TRACE_MAX_BYTES", 600)
     tracer = Tracer("full", str(tmp_path))
     for i in range(40):
         tracer.mark("cell.retry", key=f"k{i:04d}", attempt=i)
@@ -534,24 +539,10 @@ def test_trace_journal_rotates_at_size_cap(tmp_path, monkeypatch):
     assert stats["rotated_bytes"] > 0 and stats["trace_bytes"] >= 0
 
 
-def test_trace_rotation_disabled_and_bad_value(tmp_path, monkeypatch):
-    from repro.obs.maintenance import rotated_trace_segments
-    from repro.obs.trace import trace_max_bytes
-
-    monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "0")
-    tracer = Tracer("full", str(tmp_path))
-    for i in range(50):
-        tracer.mark("cell.retry", key=f"k{i}")
-    assert rotated_trace_segments(str(tmp_path)) == []
-    monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "big")
-    with pytest.raises(ValueError, match="REPRO_TRACE_MAX_BYTES"):
-        trace_max_bytes()
-
-
 def test_obs_gc_sweeps_segments_and_stale_snapshots(tmp_path, monkeypatch):
     from repro.obs.maintenance import metrics_snapshots, obs_gc, obs_stats
 
-    monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "400")
+    monkeypatch.setattr("repro.obs.trace.TRACE_MAX_BYTES", 400)
     tracer = Tracer("full", str(tmp_path))
     for i in range(30):
         tracer.mark("cell.retry", key=f"k{i}")
@@ -578,7 +569,7 @@ def test_obs_gc_sweeps_segments_and_stale_snapshots(tmp_path, monkeypatch):
 def test_obs_clear_removes_everything(tmp_path, monkeypatch):
     from repro.obs.maintenance import obs_clear, obs_stats
 
-    monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "400")
+    monkeypatch.setattr("repro.obs.trace.TRACE_MAX_BYTES", 400)
     tracer = Tracer("full", str(tmp_path))
     for i in range(30):
         tracer.mark("cell.retry", key=f"k{i}")
@@ -599,7 +590,7 @@ def test_obs_clear_removes_everything(tmp_path, monkeypatch):
 
 def test_cache_cli_surfaces_and_sweeps_obs(tmp_path, monkeypatch, capsys):
     """`repro cache stats|gc|clear` now cover the obs/ namespace."""
-    monkeypatch.setenv("REPRO_TRACE_MAX_BYTES", "400")
+    monkeypatch.setattr("repro.obs.trace.TRACE_MAX_BYTES", 400)
     tracer = Tracer("full", str(tmp_path))
     for i in range(30):
         tracer.mark("cell.retry", key=f"k{i}")

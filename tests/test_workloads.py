@@ -58,10 +58,10 @@ SMALL_SPECS = (
 @pytest.fixture(autouse=True)
 def _isolated_caches():
     """Workload tests must not touch a real cache root or leak memos."""
-    configure_graph_cache(enabled=None, root=None)
+    configure_graph_cache()
     clear_caches()
     yield
-    configure_graph_cache(enabled=None, root=None)
+    configure_graph_cache()
     clear_caches()
 
 

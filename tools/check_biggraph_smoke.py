@@ -105,17 +105,14 @@ def check_bounded_rss(tasks: int, budget_mib: float, fault_rate: float) -> None:
     depth = max((tasks + width - 1) // width, 1)
     spec_str = f"layered:depth={depth},width={width},seed=1"
 
-    root = tempfile.mkdtemp(prefix="repro-biggraph-rss-")
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_CACHE_DIR", "REPRO_GRAPH_CACHE", "REPRO_SIM_BACKEND")
-    }
-    os.environ["REPRO_CACHE_DIR"] = root
-    os.environ["REPRO_GRAPH_CACHE"] = "1"
-    os.environ["REPRO_SIM_BACKEND"] = "python"
-    try:
-        from repro.analysis.experiments import workload_sweep
+    from repro.analysis.experiments import workload_sweep
+    from repro.analysis.runner import configure_graph_cache
 
+    root = tempfile.mkdtemp(prefix="repro-biggraph-rss-")
+    saved_backend = os.environ.get("REPRO_SIM_BACKEND")
+    os.environ["REPRO_SIM_BACKEND"] = "python"
+    configure_graph_cache(enabled=True, root=root)
+    try:
         t0 = time.perf_counter()
         result = workload_sweep(
             [spec_str],
@@ -126,11 +123,11 @@ def check_bounded_rss(tasks: int, budget_mib: float, fault_rate: float) -> None:
         )
         elapsed = time.perf_counter() - t0
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        configure_graph_cache()
+        if saved_backend is None:
+            os.environ.pop("REPRO_SIM_BACKEND", None)
+        else:
+            os.environ["REPRO_SIM_BACKEND"] = saved_backend
         shutil.rmtree(root, ignore_errors=True)
 
     (row,) = result.rows
